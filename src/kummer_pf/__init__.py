@@ -46,7 +46,6 @@ from .pfaffian import (
     BASIS_RANK6,
     BasisClosureError,
     PfaffianSystem,
-    build_rewrite_table,
     check_integrability,
     compare_fixture,
     derive_pfaffian,
@@ -74,6 +73,7 @@ from .transport import (
     CompiledConnection,
     LineSegment,
     Path,
+    PathFormatError,
     TransportResult,
     initial_state,
     monodromy,

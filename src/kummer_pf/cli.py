@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import appendix as appendix_mod
-from .divisors import CANDIDATE_DIVISORS, D1
+from . import checks
 from .gkz import (
     GENERATING_KERNEL_VECTORS,
     kernel_basis,
@@ -33,39 +32,28 @@ from .gkz import (
 from .operators import (
     DEGREE_MARGIN,
     build_canonical_system,
-    identity_check,
 )
 from .pfaffian import (
     BASIS_BY_NAME,
-    BASIS_P2,
     BasisClosureError,
     PfaffianSystem,
     check_integrability,
     compare_fixture,
     derive_pfaffian,
-    divisor_occurrence,
     rank5_system,
-    rank6_system,
-    series_consistency_defects,
     singular_factors,
 )
 from .geometry import (
-    discriminant_factorization,
-    discriminant_identities,
     lambda_to_pqr,
     pqrb_to_t,
     singular_divisor_membership,
-    weighted_homogeneity_witness,
 )
 from .polynomials import format_rational
 from .series import period_coefficient, period_series, residue_oracle
 from .transport import (
-    CircleSegment,
     CompiledConnection,
-    LineSegment,
     Path,
     monodromy,
-    series_vs_transport,
     transport,
 )
 
@@ -150,9 +138,7 @@ def cmd_gkz(args) -> int:
 
 def cmd_pfaffian_derive(args) -> int:
     system = build_canonical_system()
-    relations = list(system.operators)
-    if args.system == "gkz":
-        relations = relations[:4]
+    relations = system.gkz_part() if args.system == "gkz" else system.operators
     basis = BASIS_BY_NAME[args.basis]
     try:
         derived = derive_pfaffian(relations, basis)
@@ -193,16 +179,9 @@ def cmd_pfaffian_singular(args) -> int:
 
 def cmd_pfaffian_compare(args) -> int:
     system = PfaffianSystem.load(args.file)
-    with open(args.fixture, encoding="utf-8") as fh:
-        data = json.load(fh)
-    from .polynomials import RatFunc
-
-    fixture = {}
-    n = len(data["basis"])
-    for var, key in (("p", "Mp"), ("q", "Mq"), ("r", "Mr")):
-        flat = [RatFunc.from_text(t) for t in data[key]]
-        fixture[var] = [flat[i * n:(i + 1) * n] for i in range(n)]
-    diff = compare_fixture(system, fixture)
+    # the fixture shares the system encoding; its matrices are theta-scaled
+    reference = PfaffianSystem.load(args.fixture)
+    diff = compare_fixture(system, {var: reference.matrix(var) for var in "pqr"})
     _emit(diff.to_json())
     return 0
 
@@ -266,11 +245,10 @@ class _Runner:
     def __init__(self):
         self.checks = []
 
-    def run(self, name: str, fn, hard: bool = True):
+    def run(self, name: str, fn):
         start = time.perf_counter()
         try:
-            result = fn()
-            ok, detail = result if isinstance(result, tuple) else (bool(result), {})
+            ok, detail = fn()
             status = "pass" if ok else "fail"
             if ok and detail.pop("_reported_diff", False):
                 status = "reported-diff"
@@ -280,185 +258,23 @@ class _Runner:
         self.checks.append({
             "name": name,
             "status": status,
-            "hard": hard,
+            "hard": True,
             "runtime_s": round(time.perf_counter() - start, 3),
             "detail": detail,
         })
-        return status != "fail"
 
     @property
     def ok(self) -> bool:
-        return all(c["status"] != "fail" or not c["hard"] for c in self.checks)
+        return all(c["status"] != "fail" for c in self.checks)
 
 
 def verify_all(cap: int = 12, tol: float = 1e-10, seed: int = 0,
                artifacts: str | None = None) -> dict:
-    rng = random.Random(seed)
+    ctx = checks.CheckContext(cap=cap, tol=tol, rng=random.Random(seed),
+                              artifacts=artifacts)
     runner = _Runner()
-
-    def series_oracle():
-        count = 0
-        for l in range(9):
-            for m in range(9 - l):
-                for n in range(9 - l - m):
-                    if period_coefficient((l, m, n)) != residue_oracle((l, m, n)):
-                        return False, {"first_failure": [l, m, n]}
-                    count += 1
-        return True, {"indices_checked": count}
-
-    runner.run("series-oracle-equivalence", series_oracle)
-
-    def coeff_identity():
-        pts = [(rng.randint(0, 80), rng.randint(0, 80), rng.randint(0, 80))
-               for _ in range(100)]
-        identity_check(pts)
-        return True, {"symbolic": "zero polynomial", "spot_points": 100}
-
-    runner.run("coefficient-identity", coeff_identity)
-
-    def annihilation():
-        through = cap - DEGREE_MARGIN
-        u = period_series(cap)
-        system = build_canonical_system()
-        failures = [name for name, op in zip(system.names, system.operators)
-                    if not op.apply(u).is_zero_through(through)]
-        detail = {"cap": cap, "checked_through_degree": through, "failures": failures}
-        if cap < 12:
-            detail["note"] = "reduced coverage below the default cap 12"
-        return not failures, detail
-
-    runner.run("annihilation", annihilation)
-
-    def gkz_reduction():
-        canonical = build_canonical_system()
-        mismatch = [list(v) for v, e in zip(GENERATING_KERNEL_VECTORS, canonical.gkz_part())
-                    if reduce_to_pqr(v) != e]
-        basis = kernel_basis(kummer_gkz_data())
-        missing = [list(b) for b in GENERATING_KERNEL_VECTORS if not lattice_contains(basis, b)]
-        verify_euler_elimination()
-        return (not mismatch and not missing), {
-            "mismatched_vectors": mismatch, "outside_lattice": missing}
-
-    runner.run("gkz-reduction", gkz_reduction)
-
-    state: dict = {}
-
-    def rank6():
-        system = rank6_system()
-        state["rank6"] = system
-        residual = check_integrability(system)
-        if artifacts:
-            system.save(f"{artifacts}/rank6.json")
-        return residual == 0, {"size": system.size, "integrability_residual": residual}
-
-    runner.run("rank6-closure-integrability", rank6)
-
-    def rank5():
-        system = rank5_system()
-        state["rank5"] = system
-        residual = check_integrability(system)
-        try:
-            derive_pfaffian(build_canonical_system().gkz_part(), BASIS_P2)
-            witness = False
-        except BasisClosureError:
-            witness = True
-        if artifacts:
-            system.save(f"{artifacts}/rank5.json")
-        return (residual == 0 and witness), {
-            "size": system.size,
-            "integrability_residual": residual,
-            "gkz_alone_five_basis_fails": witness,
-        }
-
-    runner.run("rank5-closure-integrability", rank5)
-
-    def singular():
-        sys5 = state["rank5"]
-        rep_main = singular_factors(sys5)
-        alt = rank5_system("q2")
-        rep_alt = singular_factors(alt, require_complete=False)
-        d1_main = divisor_occurrence(sys5, D1)
-        d1_alt = divisor_occurrence(alt, D1)
-        ok = (rep_main.complete
-              and {"p", "q", "d1", "d2", "d3"} <= rep_main.occurring
-              and rep_main.occurring <= set(CANDIDATE_DIVISORS)
-              and d1_main and not d1_alt)
-        return ok, {
-            "p2_basis_occurring": sorted(rep_main.occurring),
-            "q2_basis_occurring": sorted(rep_alt.occurring),
-            "d1_in_p2_basis": d1_main,
-            "d1_in_q2_basis": d1_alt,
-            "q2_new_factors": sorted({e[3].to_text() for e in rep_alt.leftovers}),
-        }
-
-    runner.run("singular-loci", singular)
-
-    def fixture():
-        diff = compare_fixture(state["rank5"], appendix_mod.appendix_matrices())
-        rows14 = diff.mismatches_in_rows([1, 2, 3, 4])
-        if artifacts:
-            with open(f"{artifacts}/fixture_diff.json", "w", encoding="utf-8") as fh:
-                json.dump(diff.to_json(), fh, indent=1)
-        row5 = len(diff.mismatches) - len(rows14)
-        return not rows14, {
-            "rows_1_4_mismatches": len(rows14),
-            "row_5_mismatches": row5,
-            "_reported_diff": row5 > 0,
-        }
-
-    runner.run("fixture-comparison", fixture)
-
-    def series_consistency():
-        defects = series_consistency_defects(state["rank5"], 10)
-        return not defects, {"defects": [[v, list(w)] for v, w in defects]}
-
-    runner.run("pfaffian-series-consistency", series_consistency)
-
-    def discriminants():
-        discriminant_identities()
-        discriminant_factorization()
-        return True, {"identities": ["d2 = -disc R2", "d3 = -disc R3",
-                                     "disc_x = t^4 R3^2 R2^2"]}
-
-    runner.run("discriminant-identities", discriminants)
-
-    def homogeneity():
-        weighted_homogeneity_witness()
-        return True, {"weights_in": [2, 4, 6, 2], "weights_out": [4, 6, 10, 12]}
-
-    runner.run("weighted-homogeneity", homogeneity)
-
-    def transport_consistency():
-        sys5 = state["rank5"]
-        conn = CompiledConnection(sys5)
-        a = (1e-3, 0.6e-3, 0.4e-3)
-        b = (0.5e-3, 1e-3, 0.8e-3)
-        discrepancy = series_vs_transport(sys5, a, b, cap=16, tol=tol,
-                                          min_clearance=1e-4)
-        base = (0.3, 0.2, 0.1)
-        corners = [(0.35, 0.2, 0.1), (0.35, 0.25, 0.1), (0.3, 0.25, 0.1)]
-        loop = Path((LineSegment(base, corners[0]),
-                     LineSegment(corners[0], corners[1]),
-                     LineSegment(corners[1], corners[2]),
-                     LineSegment(corners[2], base)))
-        loop_defect = float(np.max(np.abs(
-            transport(conn, loop, tol=tol).fundamental_matrix - np.eye(5))))
-        circle = Path((CircleSegment(coordinate="r", center=0j, radius=0.01,
-                                     turns=1.0,
-                                     fixed={"p": 0.5 + 0j, "q": 1 / 3 + 0j}),))
-        mono = monodromy(conn, circle, tol=tol)
-        ok = (discrepancy < 1e-8 and loop_defect < 1e2 * tol
-              and mono.det_consistency < 1e-6
-              and abs(abs(mono.determinant) - 1) < 1e-6)
-        return ok, {
-            "series_vs_transport": discrepancy,
-            "contractible_loop_defect": loop_defect,
-            "monodromy_det_consistency": mono.det_consistency,
-            "monodromy_abs_det": abs(mono.determinant),
-        }
-
-    runner.run("transport-consistency", transport_consistency)
-
+    for name, check in checks.CHECKS:
+        runner.run(name, lambda: check(ctx))
     return {"ok": runner.ok, "seed": seed, "cap": cap, "tol": tol,
             "checks": runner.checks}
 
@@ -485,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit JSON (the default; kept for script compatibility)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized spot checks")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; checks currently run sequentially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("series", help="period series coefficients")

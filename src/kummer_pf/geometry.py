@@ -37,15 +37,10 @@ class LambdaPoint:
         return (self.l2 - 1) * self.l2 * (self.l1 - self.l3)
 
 
-def lambda_to_pqr(point: LambdaPoint | tuple[Scalar, Scalar, Scalar]
-                  ) -> tuple[Scalar, Scalar, Scalar]:
-    """The branch-point to (p, q, r) correspondence, exact on Fractions."""
-    if not isinstance(point, LambdaPoint):
-        point = LambdaPoint(*point)
+def _lambda_numerators(point: LambdaPoint) -> tuple:
+    """(p_num, q_core, q_tail) of the lambda map over any commutative ring:
+    p = p_num / d, q = q_core q_tail / d^2, r = q_core^2 / d^3."""
     l1, l2, l3 = point.l1, point.l2, point.l3
-    d = point.denominator()
-    if d == 0:
-        raise ZeroDivisionError("lambda point lies on the degenerate locus d = 0")
     p_num = -(
         l1 * l2 - l1**2 * l2 - l1 * l3 + 2 * l1**2 * l3 - 3 * l1 * l2 * l3
         + 2 * l1**2 * l2 * l3 + l2**2 * l3 - l1 * l2**2 * l3 + 2 * l1 * l3**2
@@ -53,6 +48,18 @@ def lambda_to_pqr(point: LambdaPoint | tuple[Scalar, Scalar, Scalar]
     )
     q_core = (l1 - 1) * l1 * (l1 - l2) * (l2 - l3) * (l3 - 1) * l3
     q_tail = l1 - l2 + l1 * l2 + l3 - 3 * l1 * l3 + l2 * l3
+    return p_num, q_core, q_tail
+
+
+def lambda_to_pqr(point: LambdaPoint | tuple[Scalar, Scalar, Scalar]
+                  ) -> tuple[Scalar, Scalar, Scalar]:
+    """The branch-point to (p, q, r) correspondence, exact on Fractions."""
+    if not isinstance(point, LambdaPoint):
+        point = LambdaPoint(*point)
+    d = point.denominator()
+    if d == 0:
+        raise ZeroDivisionError("lambda point lies on the degenerate locus d = 0")
+    p_num, q_core, q_tail = _lambda_numerators(point)
     p = p_num / d
     q = q_core * q_tail / d**2
     r = q_core**2 / d**3
@@ -62,21 +69,10 @@ def lambda_to_pqr(point: LambdaPoint | tuple[Scalar, Scalar, Scalar]
 def lambda_map_symbolic() -> dict[str, TuplePoly]:
     """Numerators of p, q, r and the common denominator as polynomials in
     (l1, l2, l3); used for exact factor-vanishing checks."""
-    l1 = TuplePoly.variable(3, 0)
-    l2 = TuplePoly.variable(3, 1)
-    l3 = TuplePoly.variable(3, 2)
-    one = TuplePoly.constant(3, 1)
-    d = (l2 - one) * l2 * (l1 - l3)
-    p_num = -1 * (
-        l1 * l2 - l1 * l1 * l2 - l1 * l3 + 2 * l1 * l1 * l3 - 3 * l1 * l2 * l3
-        + 2 * l1 * l1 * l2 * l3 + l2 * l2 * l3 - l1 * l2 * l2 * l3
-        + 2 * l1 * l3 * l3 - 3 * l1 * l1 * l3 * l3 - l2 * l3 * l3
-        + 2 * l1 * l2 * l3 * l3
-    )
-    q_core = (l1 - one) * l1 * (l1 - l2) * (l2 - l3) * (l3 - one) * l3
-    q_tail = l1 - l2 + l1 * l2 + l3 - 3 * l1 * l3 + l2 * l3
+    point = LambdaPoint(*(TuplePoly.variable(3, i) for i in range(3)))
+    p_num, q_core, q_tail = _lambda_numerators(point)
     return {
-        "denominator": d,
+        "denominator": point.denominator(),
         "p_num": p_num,
         "q_num": q_core * q_tail,
         "r_num": q_core * q_core,
@@ -95,20 +91,6 @@ def pqrb_to_t(p: Scalar, q: Scalar, r: Scalar, b: Scalar
     return t4, t6, t10, t12
 
 
-def _tmap_symbolic() -> tuple[TuplePoly, TuplePoly, TuplePoly, TuplePoly]:
-    """The four target polynomials in (p, q, r, b, s) with s a fresh scale."""
-    p = TuplePoly.variable(5, 0)
-    q = TuplePoly.variable(5, 1)
-    r = TuplePoly.variable(5, 2)
-    b = TuplePoly.variable(5, 3)
-    third = Fraction(1, 3)
-    t4 = -third * b * b + third * b * p - third * p * p + q
-    t6 = Fraction(-1, 54) * (b - 2 * p) * (4 * b * b + 2 * b * p - 2 * p * p + 9 * q) - r
-    t10 = Fraction(1, 4) * b * b * r
-    t12 = Fraction(1, 48) * b * b * (3 * q * q + 4 * b * r - 8 * p * r)
-    return t4, t6, t10, t12
-
-
 def weighted_homogeneity_witness() -> bool:
     """Exact identity: scaling (p,q,r,b) by s^(2,4,6,2) scales the targets
     by s^(4,6,10,12).  Nonzero residual is a hard failure."""
@@ -117,23 +99,13 @@ def weighted_homogeneity_witness() -> bool:
     r = TuplePoly.variable(5, 2)
     b = TuplePoly.variable(5, 3)
     s = TuplePoly.variable(5, 4)
-    targets = _tmap_symbolic()
+    targets = pqrb_to_t(p, q, r, b)
     weights_out = (4, 6, 10, 12)
-    substituted = _tmap_substitute(s * s * p, s**4 * q, s**6 * r, s * s * b)
+    substituted = pqrb_to_t(s * s * p, s**4 * q, s**6 * r, s * s * b)
     for t, w, sub in zip(targets, weights_out, substituted):
         if sub != s**w * t:
             raise AssertionError(f"homogeneity fails for weight-{w} target")
     return True
-
-
-def _tmap_substitute(p: TuplePoly, q: TuplePoly, r: TuplePoly, b: TuplePoly
-                     ) -> tuple[TuplePoly, ...]:
-    third = Fraction(1, 3)
-    t4 = -third * b * b + third * b * p - third * p * p + q
-    t6 = Fraction(-1, 54) * (b - 2 * p) * (4 * b * b + 2 * b * p - 2 * p * p + 9 * q) - r
-    t10 = Fraction(1, 4) * b * b * r
-    t12 = Fraction(1, 48) * b * b * (3 * q * q + 4 * b * r - 8 * p * r)
-    return t4, t6, t10, t12
 
 
 def cubic_discriminant(a, b, c):

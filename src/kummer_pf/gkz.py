@@ -39,14 +39,6 @@ class GkzData:
     matrix: tuple[tuple[int, ...], ...]
     gamma: tuple[Fraction, ...]
 
-    @property
-    def rows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def cols(self) -> int:
-        return len(self.matrix[0])
-
 
 def kummer_gkz_data() -> GkzData:
     return GkzData(
@@ -80,14 +72,6 @@ PQR_EXPONENTS = (
 @dataclass(frozen=True)
 class KernelVector:
     b: tuple[int, ...]
-
-    @property
-    def positive_support(self) -> tuple[int, ...]:
-        return tuple(max(x, 0) for x in self.b)
-
-    @property
-    def negative_support(self) -> tuple[int, ...]:
-        return tuple(max(-x, 0) for x in self.b)
 
 
 def matvec(matrix: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -297,10 +281,3 @@ def reduce_to_pqr(vector: KernelVector | Sequence[int],
         - ThetaOperator.from_theta_poly(rhs, MultiPoly.monomial(rhs_mono))
     )
 
-
-def exponent_matrix_rank(table: SubstitutionTable | None = None) -> int:
-    """Rank of the (p, q, r) exponent matrix; must be 3 for the monomial
-    rewrite to be unique."""
-    table = table or standard_substitution()
-    _, _, rank = _row_reduce_integer([list(r) for r in table.pqr_in_c])
-    return rank

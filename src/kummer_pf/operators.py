@@ -57,10 +57,6 @@ class ThetaOperator:
         return cls()
 
     @classmethod
-    def identity(cls) -> ThetaOperator:
-        return cls({(0, 0, 0): MultiPoly.one()})
-
-    @classmethod
     def theta(cls, var: str) -> ThetaOperator:
         exps = [0, 0, 0]
         exps["pqr".index(var)] = 1
@@ -123,12 +119,6 @@ class ThetaOperator:
     def __sub__(self, other: ThetaOperator) -> ThetaOperator:
         return self + (-other)
 
-    def left_multiply(self, poly: MultiPoly | int | Fraction) -> ThetaOperator:
-        """Multiply every coefficient on the left by a polynomial."""
-        if not isinstance(poly, MultiPoly):
-            poly = MultiPoly.constant(poly)
-        return ThetaOperator({e: poly * c for e, c in self.terms.items()})
-
     # -- composition and action ---------------------------------------------
 
     def compose(self, other: ThetaOperator) -> ThetaOperator:
@@ -157,9 +147,6 @@ class ThetaOperator:
         for theta_exps, coeff in self.terms.items():
             result = result + s.theta_scale(theta_exps).multiply_poly(coeff)
         return result
-
-    def annihilates(self, s: TruncatedSeries, through_degree: int) -> bool:
-        return self.apply(s).is_zero_through(through_degree)
 
     # -- encoding ------------------------------------------------------------
 
@@ -230,10 +217,6 @@ TQ = TuplePoly.variable(3, 1)
 TR = TuplePoly.variable(3, 2)
 
 
-def theta_affine(c0: int | Fraction, cp: int = 0, cq: int = 0, cr: int = 0) -> TuplePoly:
-    return TuplePoly.constant(3, c0) + cp * TP + cq * TQ + cr * TR
-
-
 @dataclass(frozen=True)
 class CanonicalSystem:
     """The five annihilators, in the fixed order: four toric-reduction
@@ -292,14 +275,6 @@ def build_canonical_system() -> CanonicalSystem:
         operators=(op1, op2, op3, op4, op5),
         names=("gkz1", "gkz2", "gkz3", "gkz4", "extra"),
     )
-
-
-def compose(a: ThetaOperator, b: ThetaOperator) -> ThetaOperator:
-    return a.compose(b)
-
-
-def apply(a: ThetaOperator, s: TruncatedSeries) -> TruncatedSeries:
-    return a.apply(s)
 
 
 def coefficient_identity_poly() -> TuplePoly:

@@ -38,10 +38,6 @@ ThetaExps = tuple[int, int, int]
 GENERATORS: tuple[ThetaExps, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 VAR_OF_GENERATOR = {(1, 0, 0): "p", (0, 1, 0): "q", (0, 0, 1): "r"}
 
-ORDER2: tuple[ThetaExps, ...] = (
-    (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
-)
-
 BASIS_P2: tuple[ThetaExps, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0))
 BASIS_Q2: tuple[ThetaExps, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0))
 BASIS_RANK6: tuple[ThetaExps, ...] = (
@@ -60,10 +56,6 @@ class BasisClosureError(Exception):
         super().__init__(
             f"basis {list(basis)} does not close; "
             f"undetermined monomials: {sorted(undetermined)}")
-
-
-class SingularEliminationError(Exception):
-    """The order-2 elimination matrix is singular over the function field."""
 
 
 @dataclass(frozen=True)
@@ -131,10 +123,6 @@ class PfaffianSystem:
             return cls.from_json(json.load(fh))
 
 
-def _theta_monomial_op(exps: ThetaExps) -> ThetaOperator:
-    return ThetaOperator.monomial(exps, 1)
-
-
 def _operator_row(op: ThetaOperator, columns: Sequence[ThetaExps]) -> list[MultiPoly]:
     row = []
     covered = set()
@@ -151,7 +139,7 @@ def reduction_pool(relations: Sequence[ThetaOperator]) -> list[ThetaOperator]:
     """The relations and all first-order compositions theta_g . R_i."""
     pool = list(relations)
     for g in GENERATORS:
-        theta_g = _theta_monomial_op(g)
+        theta_g = ThetaOperator.monomial(g, 1)
         for rel in relations:
             pool.append(theta_g.compose(rel))
     return pool
@@ -188,66 +176,6 @@ def reduce_monomials(relations: Sequence[ThetaOperator], basis: Sequence[ThetaEx
         else:
             undetermined.add(mono)
     return reductions, undetermined
-
-
-@dataclass(frozen=True)
-class RewriteTable:
-    """Order-2 rewrite rules: non-basis order-2 monomials as combinations of
-    {1, tp, tq, tr} plus the kept order-2 monomial(s)."""
-
-    kept: tuple[ThetaExps, ...]
-    rules: dict[ThetaExps, dict[ThetaExps, RatFunc]]
-
-
-def build_rewrite_table(system: CanonicalSystem | Sequence[ThetaOperator],
-                        basis_choice: str = "p2") -> RewriteTable:
-    """Solve the order-2 block alone.
-
-    basis_choice 'p2' or 'q2' keeps one order-2 monomial and eliminates the
-    other five using all five relations; 'p2q2' keeps two and eliminates
-    four using only the four toric relations.
-    """
-    if isinstance(system, CanonicalSystem):
-        relations = list(system.operators)
-    else:
-        relations = list(system)
-    basis = BASIS_BY_NAME[basis_choice]
-    if basis_choice == "p2q2":
-        relations = relations[:4]
-    kept = tuple(m for m in ORDER2 if m in basis)
-    eliminate = [m for m in ORDER2 if m not in basis]
-    if len(relations) != len(eliminate):
-        raise SingularEliminationError(
-            f"{len(relations)} relations cannot eliminate {len(eliminate)} monomials")
-    columns = eliminate + [m for m in basis]
-    rows = [_operator_row(op, columns) for op in relations]
-    solution = solve_poly_rows(rows, len(eliminate))
-    undet = [m for i, m in enumerate(eliminate) if not solution.is_determined(i)]
-    if undet:
-        raise SingularEliminationError(
-            f"order-2 elimination matrix singular; undetermined: {undet}")
-    rules = {}
-    for i, mono in enumerate(eliminate):
-        rules[mono] = {
-            columns[k]: v for k, v in solution.determined[i].items()
-        }
-    return RewriteTable(kept=kept, rules=rules)
-
-
-def reduce_operator_by_table(op: ThetaOperator, table: RewriteTable,
-                             basis: Sequence[ThetaExps]) -> dict[ThetaExps, RatFunc]:
-    """Reduce an order-<=2 operator to a basis vector using the table.
-    The result must be interpreted modulo the ideal."""
-    out: dict[ThetaExps, RatFunc] = {}
-    for exps, coeff in op.terms.items():
-        if exps in table.rules:
-            for b, v in table.rules[exps].items():
-                out[b] = out.get(b, RatFunc.zero()) + RatFunc.from_poly(coeff) * v
-        elif exps in basis:
-            out[exps] = out.get(exps, RatFunc.zero()) + RatFunc.from_poly(coeff)
-        else:
-            raise ValueError(f"monomial {exps} is neither rewritable nor basic")
-    return {b: v for b, v in out.items() if not v.is_zero}
 
 
 def derive_pfaffian(relations: Sequence[ThetaOperator] | CanonicalSystem,

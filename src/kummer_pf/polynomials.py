@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 # The exact scalar used everywhere; arbitrary precision, gcd-reduced,
 # positive denominator -- fractions.Fraction guarantees all three.
@@ -199,11 +199,6 @@ class MultiPoly:
             c = kc if c is None or kc < c else c
         return (a, b, c)
 
-    def leading(self) -> tuple[Exponents, Fraction]:
-        """Lex-leading (exponents, coefficient); the poly must be nonzero."""
-        key = max(self._terms)
-        return _unpack(key), Fraction(self._terms[key], self._den)
-
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
@@ -321,9 +316,6 @@ class MultiPoly:
         return hash((self._den, frozenset(self._terms.items())))
 
     # -- structure ---------------------------------------------------------
-
-    def map_coefficients(self, fn: Callable[[Fraction], Fraction]) -> MultiPoly:
-        return MultiPoly.from_terms({e: fn(c) for e, c in self.terms()})
 
     def integer_content(self) -> Fraction:
         """Rational content: gcd of coefficients, with the sign of the
@@ -517,17 +509,6 @@ _ONE = MultiPoly({0: 1}, 1, _validated=True)
 P = MultiPoly.variable("p")
 Q = MultiPoly.variable("q")
 R = MultiPoly.variable("r")
-
-
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Named arithmetic entry point: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # -- multivariate gcd -------------------------------------------------------
@@ -792,12 +773,6 @@ def poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return (a.exact_div(poly_gcd(a, b)) * b).primitive_part()
 
 
-def poly_lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    if a.is_zero or b.is_zero:
-        return _ZERO
-    return (a.exact_div(poly_gcd(a, b)) * b).primitive_part()
-
-
 class RatFunc:
     """Quotient of two MultiPoly in canonical reduced form.
 
@@ -1013,28 +988,6 @@ class RatFunc:
 
 _RF_ZERO = RatFunc(_ZERO, _ONE, _reduced=True)
 _RF_ONE = RatFunc(_ONE, _ONE, _reduced=True)
-
-
-def ratfunc_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Named arithmetic entry point: op in {'add', 'sub', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def partial_derivative(f: RatFunc, var: str) -> RatFunc:
-    return f.derivative(var)
-
-
-def evaluate_complex(f: RatFunc, point: tuple[complex, complex, complex],
-                     den_floor: float = 1e-12) -> complex:
-    return f.evaluate(point, den_floor=den_floor)
 
 
 class TuplePoly:

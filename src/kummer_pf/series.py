@@ -207,14 +207,6 @@ class TruncatedSeries:
                 out[(l, m, n)] = v * factor
         return TruncatedSeries(self.degree_cap, out)
 
-    def max_nonzero_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(i) for i in self.terms)
-
-    def truncate(self, new_cap: int) -> TruncatedSeries:
-        return TruncatedSeries(new_cap, {i: c for i, c in self.terms.items() if sum(i) <= new_cap})
-
     def is_zero_through(self, degree: int) -> bool:
         return all(sum(i) > degree for i in self.terms)
 
@@ -266,22 +258,6 @@ def period_series(degree_cap: int) -> TruncatedSeries:
             for n in range(degree_cap + 1 - l - m):
                 terms[(l, m, n)] = period_coefficient((l, m, n))
     return TruncatedSeries(degree_cap, terms)
-
-
-def series_arith(a: TruncatedSeries, b, op: str) -> TruncatedSeries:
-    """Named arithmetic entry point: op in {'add', 'mul', 'scale_by_monomial'}.
-
-    For scale_by_monomial, b is the exponent triple (optionally paired with
-    a coefficient): (1, 2, 0) or ((1, 2, 0), Fraction(3, 4))."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale_by_monomial":
-        if len(b) == 2 and isinstance(b[0], tuple):
-            return a.scale_by_monomial(b[0], b[1])
-        return a.scale_by_monomial(tuple(b))
-    raise ValueError(f"unknown op {op!r}")
 
 
 def evaluate_series(s: TruncatedSeries, point: tuple[complex, complex, complex],

@@ -41,6 +41,11 @@ class ClearanceError(TransportError):
     pass
 
 
+class PathFormatError(ValueError):
+    """A path document is missing a field, has a mistyped one, or has no
+    segments."""
+
+
 # -- paths ---------------------------------------------------------------------
 
 
@@ -166,28 +171,39 @@ class Path:
 
     @classmethod
     def from_json(cls, data: dict | list) -> Path:
+        """Parse a path document; a missing or mistyped field, or an empty
+        segment list, raises PathFormatError."""
         if isinstance(data, dict):
-            raw = data.get("segments", [])
-            hint = data.get("samples_hint", 64)
+            raw, hint = data.get("segments", []), data.get("samples_hint", 64)
         else:
             raw, hint = data, 64
-        segs: list[Segment] = []
-        for item in raw:
-            if item["type"] == "segment":
-                segs.append(LineSegment(
-                    tuple(_cparse(v) for v in item["from"]),
-                    tuple(_cparse(v) for v in item["to"])))
-            elif item["type"] == "circle":
-                segs.append(CircleSegment(
-                    coordinate=item["coordinate"],
-                    center=_cparse(item["center"]),
-                    radius=float(item["radius"]),
-                    turns=float(item["turns"]),
-                    start_angle=float(item.get("start_angle", 0.0)),
-                    fixed={k: _cparse(v) for k, v in item["fixed"].items()}))
-            else:
-                raise ValueError(f"unknown segment type {item['type']!r}")
+        try:
+            segs = [_segment_from_json(item) for item in raw]
+            hint = int(hint)
+        except KeyError as exc:
+            raise PathFormatError(f"path field {exc.args[0]!r} is missing") from None
+        except (TypeError, ValueError, AttributeError, IndexError) as exc:
+            raise PathFormatError(f"malformed path field: {exc}") from None
+        if not segs:
+            raise PathFormatError("a path needs at least one segment")
         return cls(tuple(segs), samples_hint=hint)
+
+
+def _segment_from_json(item: dict) -> Segment:
+    if item["type"] == "segment":
+        return LineSegment(tuple(_cparse(v) for v in item["from"]),
+                           tuple(_cparse(v) for v in item["to"]))
+    if item["type"] == "circle":
+        if item["coordinate"] not in VAR_INDEX:
+            raise ValueError(f"circle coordinate {item['coordinate']!r} is not p, q or r")
+        return CircleSegment(
+            coordinate=item["coordinate"],
+            center=_cparse(item["center"]),
+            radius=float(item["radius"]),
+            turns=float(item["turns"]),
+            start_angle=float(item.get("start_angle", 0.0)),
+            fixed={k: _cparse(v) for k, v in item["fixed"].items()})
+    raise ValueError(f"unknown segment type {item['type']!r}")
 
 
 def check_clearance(path: Path, min_clearance: float = 1e-3) -> float:
@@ -347,11 +363,6 @@ class TransportResult:
     step_count: int
     max_local_error: float
     clearance: float
-
-    def condition_number(self) -> float | None:
-        if self.fundamental_matrix is None:
-            return None
-        return float(np.linalg.cond(self.fundamental_matrix))
 
 
 def transport(system: PfaffianSystem | CompiledConnection, path: Path,

@@ -1,60 +1,23 @@
 """Acceptance suite: the eleven reproduction criteria.
 
-Each test prints one PASS/FAIL line with its runtime; every tolerance is
-pinned here, from the criterion statements.  Run with `-s -v` to see the
-lines as they complete.
+Each criterion runs the same check function as ``kummer-pf verify-all``
+(``kummer_pf.checks``) and asserts the returned detail against the
+tolerances pinned here, from the criterion statements.  Each test prints
+one PASS/FAIL line with its runtime; run with `-s -v` to see the lines as
+they complete.
 """
 
+import json
 import random
 import time
 
-import numpy as np
 import pytest
 
-from kummer_pf.appendix import appendix_matrices
-from kummer_pf.divisors import CANDIDATE_DIVISORS, D1, D2, D3
-from kummer_pf.geometry import (
-    cubic_discriminant,
-    discriminant_factorization,
-    discriminant_identities,
-    weighted_homogeneity_witness,
-)
-from kummer_pf.gkz import (
-    GENERATING_KERNEL_VECTORS,
-    kernel_basis,
-    kummer_gkz_data,
-    lattice_contains,
-    reduce_to_pqr,
-)
-from kummer_pf.operators import (
-    DEGREE_MARGIN,
-    build_canonical_system,
-    coefficient_identity_poly,
-    coefficient_identity_value,
-)
-from kummer_pf.pfaffian import (
-    BASIS_P2,
-    BASIS_RANK6,
-    BasisClosureError,
-    check_integrability,
-    compare_fixture,
-    derive_pfaffian,
-    divisor_occurrence,
-    rank5_system,
-    rank6_system,
-    singular_factors,
-)
+from kummer_pf import checks
+from kummer_pf.divisors import CANDIDATE_DIVISORS, D2, D3
+from kummer_pf.geometry import cubic_discriminant
+from kummer_pf.pfaffian import BASIS_P2, BASIS_RANK6, rank5_system
 from kummer_pf.polynomials import MultiPoly
-from kummer_pf.series import period_coefficient, period_series, residue_oracle
-from kummer_pf.transport import (
-    CircleSegment,
-    CompiledConnection,
-    LineSegment,
-    Path,
-    monodromy,
-    series_vs_transport,
-    transport,
-)
 
 
 class _Gate:
@@ -87,78 +50,62 @@ def sys5():
     return rank5_system()
 
 
-@pytest.fixture(scope="session")
-def sys5_alt():
-    return rank5_system("q2")
-
-
-@pytest.fixture(scope="session")
-def sys6():
-    return rank6_system()
-
-
 def test_criterion_01_series_oracle_equivalence():
     with _Gate(1, "series/oracle equivalence through total degree 8", 10):
-        count = 0
-        for l in range(9):
-            for m in range(9 - l):
-                for n in range(9 - l - m):
-                    assert period_coefficient((l, m, n)) == residue_oracle((l, m, n)), \
-                        (l, m, n)
-                    count += 1
-        assert count == 165
+        ok, detail = checks.series_oracle(checks.CheckContext())
+        assert ok, detail
+        assert detail["indices_checked"] == 165
 
 
 def test_criterion_02_coefficient_identity():
     with _Gate(2, "coefficient identity: symbolic zero + 100 spot checks", 1):
-        assert coefficient_identity_poly().is_zero
-        rng = random.Random(0)
-        for _ in range(100):
-            pt = (rng.randint(0, 100), rng.randint(0, 100), rng.randint(0, 100))
-            assert coefficient_identity_value(*pt) == 0
+        ok, detail = checks.coeff_identity(checks.CheckContext(rng=random.Random(0)))
+        assert ok
+        assert detail["spot_points"] == 100
 
 
 def test_criterion_03_annihilation():
     with _Gate(3, "five operators annihilate period_series(12) through degree 9", 30):
-        u = period_series(12)
-        through = 12 - DEGREE_MARGIN
-        system = build_canonical_system()
-        for name, op in zip(system.names, system.operators):
-            assert op.apply(u).is_zero_through(through), name
+        ok, detail = checks.annihilation(checks.CheckContext(cap=12))
+        assert ok, detail["failures"]
+        assert detail["checked_through_degree"] == 9
 
 
 def test_criterion_04_gkz_reduction():
     with _Gate(4, "toric reduction reproduces the four operators; lattice contains them", 5):
-        canonical = build_canonical_system()
-        for vec, expected in zip(GENERATING_KERNEL_VECTORS, canonical.gkz_part()):
-            assert reduce_to_pqr(vec) == expected, vec
-        basis = kernel_basis(kummer_gkz_data())
-        for vec in GENERATING_KERNEL_VECTORS:
-            assert lattice_contains(basis, vec), vec
+        ok, detail = checks.gkz_reduction(checks.CheckContext())
+        assert ok, detail
 
 
-def test_criterion_05_rank_witnesses(sys5, sys6):
+def test_criterion_05_rank_witnesses(sys5):
     with _Gate(5, "rank-6 and rank-5 closures; five-basis fails on toric alone", 600):
-        assert sys6.basis == BASIS_RANK6 and sys6.size == 6
+        ctx = checks.CheckContext()
+        ok, detail = checks.rank6(ctx)
+        assert ok
+        assert detail["integrability_residual"] == 0
+        assert ctx.rank6.basis == BASIS_RANK6 and ctx.rank6.size == 6
         assert sys5.basis == BASIS_P2 and sys5.size == 5
-        with pytest.raises(BasisClosureError):
-            derive_pfaffian(build_canonical_system().gkz_part(), BASIS_P2)
-        assert check_integrability(sys6) == 0
 
 
 def test_criterion_06_integrability(sys5):
     with _Gate(6, "three commutator identities, zero symbolic residual (rank 5)", 600):
-        assert check_integrability(sys5) == 0
+        ok, detail = checks.rank5(checks.CheckContext(rank5=sys5))
+        assert ok
+        assert detail["integrability_residual"] == 0
+        # the rank witness of criterion 5: the toric relations alone do not
+        # close the five-element basis
+        assert detail["gkz_alone_five_basis_fails"]
 
 
-def test_criterion_07_singular_loci(sys5, sys5_alt):
+def test_criterion_07_singular_loci(sys5):
     with _Gate(7, "denominators factor over {p,q,r,d1,d2,d3}; d1 absent in q2 basis", 60):
-        report = singular_factors(sys5)
-        assert report.complete
-        assert {"p", "q", "d1", "d2", "d3"} <= report.occurring
-        assert report.occurring <= set(CANDIDATE_DIVISORS)
-        assert divisor_occurrence(sys5, D1)
-        assert not divisor_occurrence(sys5_alt, D1)
+        ok, detail = checks.singular(checks.CheckContext(rank5=sys5))
+        assert ok
+        occurring = set(detail["p2_basis_occurring"])
+        assert {"p", "q", "d1", "d2", "d3"} <= occurring
+        assert occurring <= set(CANDIDATE_DIVISORS)
+        assert detail["d1_in_p2_basis"]
+        assert not detail["d1_in_q2_basis"]
 
 
 def test_criterion_08_discriminant_identities():
@@ -168,45 +115,34 @@ def test_criterion_08_discriminant_identities():
         r = MultiPoly.variable("r")
         assert -cubic_discriminant(p - 1, q, r) == D2
         assert -cubic_discriminant(p, q, r) == D3
-        assert discriminant_identities()
-        assert discriminant_factorization()
+        ok, _ = checks.discriminants(checks.CheckContext())
+        assert ok
 
 
-def test_criterion_09_fixture_comparison(sys5):
+def test_criterion_09_fixture_comparison(sys5, tmp_path):
     with _Gate(9, "derived matrices match the reference tables (rows 1-4 exactly)", 60):
-        diff = compare_fixture(sys5, appendix_matrices())
-        assert diff.mismatches_in_rows([1, 2, 3, 4]) == []
+        ctx = checks.CheckContext(rank5=sys5, artifacts=str(tmp_path))
+        ok, detail = checks.fixture(ctx)
+        assert ok
+        assert detail["rows_1_4_mismatches"] == 0
         # the row-5 diff report exists; here it happens to be empty as well
-        report = diff.to_json()
-        assert report["mismatch_count"] == len(diff.mismatches)
+        report = json.loads((tmp_path / "fixture_diff.json").read_text(encoding="utf-8"))
+        assert report["mismatch_count"] == (
+            detail["rows_1_4_mismatches"] + detail["row_5_mismatches"])
 
 
 def test_criterion_10_weighted_homogeneity():
     with _Gate(10, "weighted homogeneity (2,4,6,2) -> (4,6,10,12), exact", 1):
-        assert weighted_homogeneity_witness()
+        ok, _ = checks.homogeneity(checks.CheckContext())
+        assert ok
 
 
 def test_criterion_11_transport_consistency(sys5):
     with _Gate(11, "series vs transport 1e-8; loop identity 1e2*tol; Liouville 1e-6", 60):
         tol = 1e-10
-        a = (1e-3, 0.6e-3, 0.4e-3)
-        b = (0.5e-3, 1e-3, 0.8e-3)
-        discrepancy = series_vs_transport(sys5, a, b, cap=16, tol=tol,
-                                          min_clearance=1e-4)
-        assert discrepancy < 1e-8
-        conn = CompiledConnection(sys5)
-        base = (0.3, 0.2, 0.1)
-        corners = [(0.35, 0.2, 0.1), (0.35, 0.25, 0.1), (0.3, 0.25, 0.1)]
-        loop = Path((LineSegment(base, corners[0]),
-                     LineSegment(corners[0], corners[1]),
-                     LineSegment(corners[1], corners[2]),
-                     LineSegment(corners[2], base)))
-        defect = float(np.max(np.abs(
-            transport(conn, loop, tol=tol).fundamental_matrix - np.eye(5))))
-        assert defect < 1e2 * tol
-        circle = Path((CircleSegment(coordinate="r", center=0j, radius=0.01,
-                                     turns=1.0,
-                                     fixed={"p": 0.5 + 0j, "q": 1 / 3 + 0j}),))
-        result = monodromy(conn, circle, tol=tol)
-        assert result.det_consistency < 1e-6
-        assert abs(abs(result.determinant) - 1) < 1e-6
+        ok, detail = checks.transport_consistency(checks.CheckContext(tol=tol, rank5=sys5))
+        assert detail["series_vs_transport"] < 1e-8
+        assert detail["contractible_loop_defect"] < 1e2 * tol
+        assert detail["monodromy_det_consistency"] < 1e-6
+        assert abs(detail["monodromy_abs_det"] - 1) < 1e-6
+        assert ok

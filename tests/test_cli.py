@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kummer_pf.cli import _Runner, main
 
 
@@ -90,10 +92,13 @@ class TestParams:
 
 
 class TestGlobalFlags:
-    def test_json_and_threads_accepted(self, capsys):
-        code, data = run_cli(capsys, "--json", "--threads", "4", "series", "--cap", "0")
+    def test_json_accepted_threads_rejected(self, capsys):
+        code, data = run_cli(capsys, "--json", "series", "--cap", "0")
         assert code == 0
         assert data["coefficients"][0]["value"] == "1"
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "4", "series", "--cap", "0"])
+        assert exc.value.code == 2
 
 
 class TestRunner:

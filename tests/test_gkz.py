@@ -8,7 +8,6 @@ from kummer_pf.gkz import (
     GENERATING_KERNEL_VECTORS,
     GkzData,
     box_operator,
-    exponent_matrix_rank,
     kernel_basis,
     kummer_gkz_data,
     lattice_contains,
@@ -89,9 +88,6 @@ class TestBoxOperator:
 
 
 class TestSubstitution:
-    def test_exponent_matrix_rank(self):
-        assert exponent_matrix_rank() == 3
-
     def test_monomial_rewrite(self):
         assert monomial_in_pqr((0, 0, 0, 0, 1, -2, 1)) == (1, -2, 1)
         assert monomial_in_pqr((0, 0, 0, 1, -1, -1, 1)) == (-1, -1, 1)

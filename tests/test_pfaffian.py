@@ -11,13 +11,12 @@ from kummer_pf.pfaffian import (
     BASIS_RANK6,
     BasisClosureError,
     PfaffianSystem,
-    build_rewrite_table,
     check_integrability,
     derive_pfaffian,
     divisor_occurrence,
     rank5_system,
     rank6_system,
-    reduce_operator_by_table,
+    reduce_monomials,
     series_consistency_defects,
     singular_factors,
 )
@@ -70,32 +69,47 @@ class TestLinearSolver:
         assert not sol.consistent
 
 
+ORDER2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+@pytest.fixture(scope="module")
+def rank5_rules():
+    reductions, _ = reduce_monomials(build_canonical_system().operators, BASIS_P2)
+    return reductions
+
+
+def rewrite(op, rules):
+    """The basis vector left after rewriting each non-basis monomial of op."""
+    out = {}
+    for exps, coeff in op.terms.items():
+        for b, v in rules.get(exps, {exps: RatFunc.one()}).items():
+            out[b] = out.get(b, RatFunc.zero()) + RatFunc.from_poly(coeff) * v
+    return {b: v for b, v in out.items() if not v.is_zero}
+
+
 class TestRewriteTable:
-    def test_rank5_table_eliminates_five(self):
-        table = build_rewrite_table(build_canonical_system(), "p2")
-        assert set(table.rules) == {(0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
-        assert table.kept == ((2, 0, 0),)
+    """The reductions derive_pfaffian reads its matrices from, used as
+    rewrite rules for the order-2 monomials."""
+
+    def test_rank5_table_eliminates_five(self, rank5_rules):
+        assert {m for m in ORDER2 if m in rank5_rules} == {
+            (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        assert [m for m in ORDER2 if m in BASIS_P2] == [(2, 0, 0)]
 
     def test_rank6_table_exists_from_gkz_alone(self):
-        table = build_rewrite_table(build_canonical_system(), "p2q2")
-        assert set(table.rules) == {(0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        rules, _ = reduce_monomials(build_canonical_system().gkz_part(), BASIS_RANK6)
+        assert {m for m in ORDER2 if m in rules} == {(0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
-    def test_rules_reproduce_source_relations(self):
-        system = build_canonical_system()
-        table = build_rewrite_table(system, "p2")
-        for op in system.operators:
-            reduced = reduce_operator_by_table(op, table, BASIS_P2)
+    def test_rules_reproduce_source_relations(self, rank5_rules):
+        for op in build_canonical_system().operators:
+            reduced = rewrite(op, rank5_rules)
             assert reduced == {}, reduced
 
-    def test_theta_p_theta_r_rule_leading_behaviour(self):
-        # from q^2 tp tr = p r tq(tq - 1): the rule for tp tr carries pr/q^2
-        # against tq^2 before the joint solve mixes in the other relations;
-        # verify by clearing the rule back through relation one.
-        system = build_canonical_system()
-        table = build_rewrite_table(system, "p2")
-        op1 = system.operators[0]
-        reduced = reduce_operator_by_table(op1, table, BASIS_P2)
-        assert reduced == {}
+    def test_theta_p_theta_r_rule_leading_behaviour(self, rank5_rules):
+        # q^2 tp tr = p r tq(tq - 1): the rules for tp tr and tq^2 must agree
+        # with relation one on its own, not only after the joint solve.
+        op1 = build_canonical_system().operators[0]
+        assert rewrite(op1, rank5_rules) == {}
 
 
 class TestDerivation:

@@ -1,22 +1,20 @@
 """Exact polynomial and rational-function arithmetic."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kummer_pf import polynomials
 from kummer_pf.polynomials import (
     MultiPoly,
     NearSingularEvaluation,
     RatFunc,
     TuplePoly,
-    evaluate_complex,
-    partial_derivative,
-    poly_arith,
     poly_gcd,
     poly_lcm,
-    ratfunc_arith,
 )
 
 P = MultiPoly.variable("p")
@@ -48,14 +46,19 @@ coeffs = st.builds(
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 polys = st.dictionaries(exponents, coeffs, max_size=6).map(MultiPoly.from_terms)
 nonzero_polys = polys.filter(lambda f: not f.is_zero)
+# Degree <= 3 per variable: on some degree-8 products the subresultant
+# fallback takes seconds where the heuristic gcd takes milliseconds.
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=5
+).map(MultiPoly.from_terms)
 
 
 class TestPolyArith:
     def test_cancellation(self):
-        assert poly_arith(P + Q, P - Q, "add") == 2 * P
+        assert (P + Q) + (P - Q) == 2 * P
 
     def test_absorbing_zero(self):
-        assert poly_arith(P, MultiPoly.zero(), "mul").is_zero
+        assert (P * MultiPoly.zero()).is_zero
 
     def test_difference_of_squares(self):
         # oracle: dense schoolbook multiplication over explicit term dicts
@@ -67,7 +70,7 @@ class TestPolyArith:
                 key = tuple(x + y for x, y in zip(ea, eb))
                 expected[key] = expected.get(key, 0) + ca * cb
         expected = {k: v for k, v in expected.items() if v}
-        prod = poly_arith(P + Q, P - Q, "mul")
+        prod = (P + Q) * (P - Q)
         assert dict((e, c) for e, c in prod.terms()) == expected
         assert prod == P**2 - Q**2
 
@@ -117,19 +120,44 @@ class TestPolyGcd:
         g.exact_div(h.primitive_part())
 
 
+class TestSubresultantFallback:
+    """The subresultant PRS gcd runs only when the heuristic gcd gives up;
+    forcing that failure must not change any gcd."""
+
+    @staticmethod
+    def forced_fallback():
+        return mock.patch.object(polynomials, "_heugcd",
+                                 side_effect=polynomials._HeuristicFailure)
+
+    def test_fallback_reached_on_shared_factor(self):
+        with self.forced_fallback() as heugcd:
+            assert poly_gcd(D2 * (P + R), D2 * (Q + 1)) == D2
+        assert heugcd.called
+
+    @given(small_polys, small_polys, small_polys.filter(lambda f: not f.is_zero))
+    @settings(max_examples=150, deadline=None)
+    def test_fallback_matches_heuristic(self, a, b, g):
+        a, b = a * g, b * g
+        if a.is_zero and b.is_zero:
+            return
+        expected = poly_gcd(a, b)
+        with self.forced_fallback():
+            assert poly_gcd(a, b) == expected
+
+
 class TestPartialDerivative:
     def test_power_rule(self):
         f = RatFunc.from_poly(P**2 * Q)
-        assert partial_derivative(f, "p") == RatFunc.from_poly(2 * P * Q)
+        assert f.derivative("p") == RatFunc.from_poly(2 * P * Q)
 
     def test_reciprocal_rule(self):
         f = RatFunc(ONE, Q)
-        assert partial_derivative(f, "q") == RatFunc(-ONE, Q**2)
+        assert f.derivative("q") == RatFunc(-ONE, Q**2)
 
     def test_d3_derivative(self):
         f = RatFunc.from_poly(D3)
         expected = RatFunc.from_poly(4 * P**3 - 18 * P * Q + 54 * R)
-        assert partial_derivative(f, "r") == expected
+        assert f.derivative("r") == expected
 
     @given(polys, polys)
     @settings(max_examples=40, deadline=None)
@@ -142,16 +170,16 @@ class TestPartialDerivative:
 
 class TestRatFunc:
     def test_common_denominator(self):
-        got = ratfunc_arith(RatFunc(ONE, P), RatFunc(ONE, Q), "add")
+        got = RatFunc(ONE, P) + RatFunc(ONE, Q)
         assert got == RatFunc(P + Q, P * Q)
 
     def test_self_division(self):
         x = RatFunc(P**2 - Q, R + 1)
-        assert ratfunc_arith(x, x, "div") == RatFunc.one()
+        assert x / x == RatFunc.one()
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            ratfunc_arith(RatFunc.one(), RatFunc.zero(), "div")
+            RatFunc.one() / RatFunc.zero()
 
     def test_canonical_sign(self):
         f = RatFunc(P, -Q)
@@ -174,7 +202,7 @@ class TestRatFunc:
 class TestEvaluation:
     def test_direct_substitution(self):
         f = RatFunc(P, Q + 1)
-        assert evaluate_complex(f, (2, 0, 5)) == pytest.approx(2)
+        assert f.evaluate((2, 0, 5)) == pytest.approx(2)
 
     def test_d3_at_001(self):
         assert D3.evaluate((0, 0, 1)) == pytest.approx(27)
@@ -187,7 +215,7 @@ class TestEvaluation:
     def test_near_singular_reported(self):
         f = RatFunc(ONE, Q)
         with pytest.raises(NearSingularEvaluation):
-            evaluate_complex(f, (1.0, 0.0, 1.0))
+            f.evaluate((1.0, 0.0, 1.0))
 
     def test_evaluate_exact_matches_float(self):
         f = RatFunc(D2, P + 1)

@@ -10,6 +10,7 @@ from kummer_pf.transport import (
     CompiledConnection,
     LineSegment,
     Path,
+    PathFormatError,
     check_clearance,
     initial_state,
     monodromy,
@@ -47,6 +48,17 @@ class TestPaths:
         assert back.samples_hint == 32
         a, b = back.segments[0].endpoints()
         assert abs(a[2] - 0.01) < 1e-15 and abs(b[2] - 0.01) < 1e-15
+
+    @pytest.mark.parametrize("data, field", [
+        ({}, "segment"),
+        ({"segments": [{"type": "circle", "center": [0, 0], "radius": 0.01,
+                        "turns": 1.0, "fixed": {"p": [0.5, 0], "q": [0.3, 0]}}]},
+         "coordinate"),
+        ({"segments": [{"type": "segment", "from": [[0, 0], [0, 0], [0.1, 0]]}]}, "to"),
+    ], ids=["empty", "circle-without-coordinate", "segment-without-to"])
+    def test_malformed_json_rejected_by_name(self, data, field):
+        with pytest.raises(PathFormatError, match=field):
+            Path.from_json(data)
 
     def test_clearance_rejects_divisor_touch(self):
         path = Path((LineSegment((1e-3, 0j, 0j), (0j, 1e-3, 0j)),))
