@@ -45,6 +45,7 @@ from .pfaffian import (
     BASIS_Q2,
     BASIS_RANK6,
     BasisClosureError,
+    BasisDependenceError,
     PfaffianSystem,
     check_integrability,
     compare_fixture,

@@ -144,7 +144,8 @@ def cmd_pfaffian_derive(args) -> int:
         derived = derive_pfaffian(relations, basis)
     except BasisClosureError as exc:
         _emit({"closed": False, "basis": [list(b) for b in exc.basis],
-               "undetermined": [list(m) for m in sorted(exc.undetermined)]})
+               "undetermined": [list(m) for m in sorted(exc.undetermined)],
+               "reason": str(exc)})
         return 1
     if args.out:
         derived.save(args.out)
@@ -220,6 +221,7 @@ def cmd_transport(args) -> int:
             "det": [result.determinant.real, result.determinant.imag],
             "det_consistency": result.det_consistency,
             "steps": result.step_count,
+            "rejects": result.rejects,
             "max_local_error": result.max_local_error,
         })
         return 0
@@ -228,6 +230,7 @@ def cmd_transport(args) -> int:
         "matrix": _matrix_json(result.fundamental_matrix),
         "det": _scalar_json(complex(np.linalg.det(result.fundamental_matrix))),
         "steps": result.step_count,
+        "rejects": result.rejects,
         "max_local_error": result.max_local_error,
         "clearance": result.clearance,
     })

@@ -3,8 +3,11 @@
 Systems arising from operator elimination are solved by fraction-free
 (Bareiss) Gaussian elimination on integer polynomial rows: every
 intermediate entry is a minor of the original matrix, so degrees stay
-bounded by (number of pivots) x (entry degree) and no rational-function
-gcds happen until the final back-substitution.
+bounded by (number of pivots) x (entry degree).  Back-substitution stays
+fraction-free as well: it carries each solution coefficient times the last
+pivot (a polynomial, by Cramer's rule) and divides exactly by each pivot
+entry, so the only rational-function gcd is one per nonzero determined
+entry, when it is finally written over the last pivot.
 
 Equations are homogeneous rows  sum_j A[i][j] x_j + sum_k B[i][k] y_k = 0
 over unknown columns x and symbolic right-hand columns y; solutions express
@@ -119,38 +122,33 @@ def solve_poly_rows(rows: list[list[MultiPoly]], n_unknowns: int) -> LinearSolut
             solution.inconsistent_rows.append(i)
     if solution.inconsistent_rows:
         return solution
-    # back substitution, expressing pivot unknowns over rhs and free columns;
-    # solution keys: rhs columns by index >= n_unknowns, free columns by index
-    expressions: dict[int, dict[int, RatFunc]] = {}
-    pivot_cols = {c for _, c in pivots}
+    # fraction-free back substitution over the last pivot delta, the
+    # determinant of the pivot block: X_c[k] = delta * x_c[k] is a polynomial
+    # by Cramer's rule, so each step divides exactly by the pivot entry.
+    # Keys: rhs columns by index >= n_unknowns, free columns by index.
+    delta = prev
+    scaled: dict[int, dict[int, MultiPoly]] = {}
     for row_idx, col in reversed(pivots):
         row = work[row_idx]
-        piv = RatFunc.from_poly(row[col])
-        acc: dict[int, RatFunc] = {}
+        acc: dict[int, MultiPoly] = {}
         for j in range(n_unknowns, ncols):
             if not row[j].is_zero:
-                acc[j] = RatFunc.from_poly(row[j])
+                acc[j] = row[j] * delta
         for j in range(n_unknowns):
             if j == col or row[j].is_zero:
                 continue
             if j in free:
-                acc[j] = acc.get(j, RatFunc.zero()) + RatFunc.from_poly(row[j])
-            elif j in expressions:
-                coeff = RatFunc.from_poly(row[j])
-                for k, v in expressions[j].items():
-                    acc[k] = acc.get(k, RatFunc.zero()) + coeff * v
+                acc[j] = acc.get(j, MultiPoly.zero()) + row[j] * delta
+            elif j in scaled:
+                for k, v in scaled[j].items():
+                    acc[k] = acc.get(k, MultiPoly.zero()) + row[j] * v
             else:
                 # earlier pivot columns were zeroed when this row sat below them
                 raise AssertionError("nonzero entry in an already-eliminated pivot column")
-        expr = {}
-        for k, v in acc.items():
-            v = -(v / piv)
-            if not v.is_zero:
-                expr[k] = v
-        expressions[col] = expr
-    for col, expr in expressions.items():
+        scaled[col] = {k: -v.exact_div(row[col]) for k, v in acc.items() if not v.is_zero}
+    for col, expr in scaled.items():
         if any(k < n_unknowns for k in expr):
             solution.tainted.add(col)
         else:
-            solution.determined[col] = {k: v for k, v in expr.items()}
+            solution.determined[col] = {k: RatFunc(v, delta) for k, v in expr.items()}
     return solution

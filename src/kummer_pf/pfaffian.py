@@ -17,8 +17,8 @@ four toric relations alone, while the six-element basis {1, tp, tq, tr,
 tp^2, tq^2} closes for the toric relations.
 
 Integrability (d Omega = Omega ^ Omega) is certified as three exact
-polynomial matrix identities after clearing common denominators, with no
-floating point and no rational-function gcds.
+polynomial matrix identities over one common denominator of all three
+matrices, with no floating point and no rational-function gcds.
 """
 
 from __future__ import annotations
@@ -50,12 +50,23 @@ BASIS_BY_NAME = {"p2": BASIS_P2, "q2": BASIS_Q2, "p2q2": BASIS_RANK6}
 class BasisClosureError(Exception):
     """The requested basis does not close to a first-order system."""
 
-    def __init__(self, basis: Sequence[ThetaExps], undetermined: set[ThetaExps]):
+    def __init__(self, basis: Sequence[ThetaExps], undetermined: set[ThetaExps],
+                 message: str | None = None):
         self.basis = tuple(basis)
         self.undetermined = undetermined
-        super().__init__(
+        super().__init__(message or (
             f"basis {list(basis)} does not close; "
-            f"undetermined monomials: {sorted(undetermined)}")
+            f"undetermined monomials: {sorted(undetermined)}"))
+
+
+class BasisDependenceError(BasisClosureError):
+    """The basis monomials are linearly dependent modulo the relations: the
+    basis is larger than the rank of the system."""
+
+    def __init__(self, basis: Sequence[ThetaExps]):
+        super().__init__(basis, set(), (
+            f"basis {list(basis)} is linearly dependent modulo the relations; "
+            f"the system has rank below {len(basis)}"))
 
 
 @dataclass(frozen=True)
@@ -79,19 +90,6 @@ class PfaffianSystem:
         """N_x = x * M_x: the theta_x action on the basis."""
         x = RatFunc.from_poly(MultiPoly.variable(var))
         return [[x * entry for entry in row] for row in self.matrix(var)]
-
-    def cleared(self, var: str) -> tuple[list[list[MultiPoly]], MultiPoly]:
-        """(N, D) with M_x = N / D entrywise, D the lcm of the denominators."""
-        m = self.matrix(var)
-        den = MultiPoly.one()
-        for row in m:
-            for entry in row:
-                den = poly_lcm(den, entry.den)
-        cleared = [
-            [entry.num * den.exact_div(entry.den) for entry in row]
-            for row in m
-        ]
-        return cleared, den
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +149,8 @@ def reduce_monomials(relations: Sequence[ThetaOperator], basis: Sequence[ThetaEx
 
     Returns (reductions, undetermined): reductions[m][b] is the coefficient
     of basis monomial b in the reduction of m; undetermined collects the
-    monomials the pool does not pin down (free or tainted).
+    monomials the pool does not pin down (free or tainted).  Raises
+    BasisDependenceError when the basis itself is dependent modulo the ideal.
     """
     pool = reduction_pool(relations)
     monomials: set[ThetaExps] = set()
@@ -164,7 +163,8 @@ def reduce_monomials(relations: Sequence[ThetaOperator], basis: Sequence[ThetaEx
     rows = [_operator_row(op, columns) for op in pool]
     solution = solve_poly_rows(rows, len(unknown_cols))
     if not solution.consistent:
-        raise AssertionError("reduction system inconsistent: the relations are not an ideal?")
+        # a pool row with no unknown left is a relation among the basis
+        raise BasisDependenceError(basis)
     reductions: dict[ThetaExps, dict[ThetaExps, RatFunc]] = {}
     undetermined: set[ThetaExps] = set()
     for idx, mono in enumerate(unknown_cols):
@@ -223,10 +223,6 @@ def _mat_mul(a: list[list[MultiPoly]], b: list[list[MultiPoly]]) -> list[list[Mu
     ]
 
 
-def _mat_scale(a: list[list[MultiPoly]], s: MultiPoly) -> list[list[MultiPoly]]:
-    return [[e * s for e in row] for row in a]
-
-
 def _mat_sub(a: list[list[MultiPoly]], b: list[list[MultiPoly]]) -> list[list[MultiPoly]]:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -238,26 +234,33 @@ def _mat_derivative(a: list[list[MultiPoly]], var: str) -> list[list[MultiPoly]]
 def check_integrability(system: PfaffianSystem) -> int:
     """Verify the three commutator identities exactly.
 
-    Returns the residual: the number of nonzero polynomial entries across
-    the three cleared matrix identities (0 means integrable).
+    With M_x = N_x / D over the lcm D of every entry denominator,
+    D^2 (d/dx M_y - d/dy M_x - [M_x, M_y]) is the polynomial matrix
+    D (d/dx N_y - d/dy N_x) - N_y dD/dx + N_x dD/dy - [N_x, N_y].
+    Returns the residual: the number of its nonzero entries across the
+    three identities (0 means integrable).
     """
-    cleared = {v: system.cleared(v) for v in "pqr"}
+    den = MultiPoly.one()
+    for var in "pqr":
+        for row in system.matrix(var):
+            for entry in row:
+                den = poly_lcm(den, entry.den)
+    cleared = {
+        var: [[entry.num * den.exact_div(entry.den) for entry in row]
+              for row in system.matrix(var)]
+        for var in "pqr"
+    }
     residual = 0
     for x, y in (("p", "q"), ("q", "r"), ("r", "p")):
-        nx, dx = cleared[x]
-        ny, dy = cleared[y]
-        # d/dx (Ny/Dy) - d/dy (Nx/Dx) = [Nx/Dx, Ny/Dy], cleared by Dx^2 Dy^2
-        lhs_first = _mat_scale(
-            _mat_sub(_mat_scale(_mat_derivative(ny, x), dy),
-                     _mat_scale(ny, dy.derivative(x))),
-            dx * dx)
-        lhs_second = _mat_scale(
-            _mat_sub(_mat_scale(_mat_derivative(nx, y), dx),
-                     _mat_scale(nx, dx.derivative(y))),
-            dy * dy)
-        commutator = _mat_scale(
-            _mat_sub(_mat_mul(nx, ny), _mat_mul(ny, nx)), dx * dy)
-        diff = _mat_sub(_mat_sub(lhs_first, lhs_second), commutator)
+        nx, ny = cleared[x], cleared[y]
+        den_x, den_y = den.derivative(x), den.derivative(y)
+        curl = _mat_sub(_mat_derivative(ny, x), _mat_derivative(nx, y))
+        commutator = _mat_sub(_mat_mul(nx, ny), _mat_mul(ny, nx))
+        diff = [
+            [den * c - e_y * den_x + e_x * den_y - k
+             for c, e_y, e_x, k in zip(curl_row, ny_row, nx_row, comm_row)]
+            for curl_row, ny_row, nx_row, comm_row in zip(curl, ny, nx, commutator)
+        ]
         residual += sum(1 for row in diff for e in row if not e.is_zero)
     return residual
 

@@ -361,6 +361,7 @@ class TransportResult:
     final_state: np.ndarray | None
     fundamental_matrix: np.ndarray | None
     step_count: int
+    rejects: int
     max_local_error: float
     clearance: float
 
@@ -385,6 +386,7 @@ def transport(system: PfaffianSystem | CompiledConnection, path: Path,
         final_state=None if matrix_mode else state,
         fundamental_matrix=state if matrix_mode else None,
         step_count=stats.get("steps", 0),
+        rejects=stats.get("rejects", 0),
         max_local_error=stats.get("max_local_error", 0.0),
         clearance=clearance,
     )
@@ -423,6 +425,7 @@ class MonodromyResult:
     determinant: complex
     trace_integral_det: complex
     step_count: int
+    rejects: int
     max_local_error: float
 
     @property
@@ -447,6 +450,7 @@ def monodromy(system: PfaffianSystem | CompiledConnection, loop: Path,
         determinant=det,
         trace_integral_det=cmath.exp(tr),
         step_count=result.step_count,
+        rejects=result.rejects,
         max_local_error=result.max_local_error,
     )
 

@@ -71,6 +71,13 @@ class TestPfaffian:
         assert data["closed"] is False
         assert data["undetermined"]
 
+    def test_full_system_six_basis_reports_dependence(self, capsys):
+        code, data = run_cli(capsys, "pfaffian", "derive", "--basis", "p2q2")
+        assert code == 1
+        assert data["closed"] is False
+        assert data["undetermined"] == []
+        assert "linearly dependent" in data["reason"]
+
 
 class TestParams:
     def test_lambda(self, capsys):
@@ -177,3 +184,8 @@ class TestTransport:
         det = complex(*data["det"])
         assert abs(abs(det) - 1) < 1e-6
         assert data["det_consistency"] < 1e-6
+        assert data["steps"] > 0 and data["rejects"] >= 0
+        code, data = run_cli(capsys, "transport", "--path", str(path_file),
+                             "--tol", "1e-8")
+        assert code == 0
+        assert data["steps"] > 0 and data["rejects"] >= 0

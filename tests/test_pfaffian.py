@@ -1,6 +1,12 @@
 """Connection derivation, integrability, singular loci."""
 
+import hashlib
+import json
+import pathlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummer_pf.divisors import D1
 from kummer_pf.linalg import solve_poly_rows
@@ -10,6 +16,7 @@ from kummer_pf.pfaffian import (
     BASIS_Q2,
     BASIS_RANK6,
     BasisClosureError,
+    BasisDependenceError,
     PfaffianSystem,
     check_integrability,
     derive_pfaffian,
@@ -67,6 +74,52 @@ class TestLinearSolver:
         ]
         sol = solve_poly_rows(rows, 1)
         assert not sol.consistent
+
+
+def small_polys(coefficients):
+    """Polynomials in p, q with at most three terms of degree <= 2 per variable."""
+    term = st.tuples(st.integers(0, 2), st.integers(0, 2), coefficients)
+    return st.lists(term, max_size=3).map(
+        lambda terms: sum((MultiPoly.monomial((a, b, 0), c) for a, b, c in terms),
+                          MultiPoly.zero()))
+
+
+@st.composite
+def planted_systems(draw, nrows, n_unknowns):
+    """Rows [A | -A X] of a system whose solution x = X y is planted."""
+    n_rhs = draw(st.integers(1, 2))
+    a = [[draw(small_polys(st.integers(-3, 3))) for _ in range(n_unknowns)]
+         for _ in range(nrows)]
+    x = [[draw(small_polys(st.fractions(-3, 3, max_denominator=3))) for _ in range(n_rhs)]
+         for _ in range(n_unknowns)]
+    rows = [
+        a[i] + [-sum((a[i][j] * x[j][k] for j in range(n_unknowns)), MultiPoly.zero())
+                for k in range(n_rhs)]
+        for i in range(nrows)
+    ]
+    return rows, x
+
+
+class TestPlantedSolutions:
+    @pytest.mark.parametrize("nrows, n_unknowns", [(3, 3), (4, 2), (2, 3)],
+                             ids=["square", "overdetermined", "underdetermined"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_determined_unknowns_equal_planted(self, nrows, n_unknowns, data):
+        rows, x = data.draw(planted_systems(nrows, n_unknowns))
+        sol = solve_poly_rows(rows, n_unknowns)
+        assert sol.consistent
+        determined = set(sol.determined)
+        assert not (determined & sol.tainted or determined & sol.free
+                    or sol.tainted & sol.free)
+        assert determined | sol.tainted | sol.free == set(range(n_unknowns))
+        assert len(sol.free) >= n_unknowns - nrows
+        if not sol.free:
+            assert not sol.tainted
+        for j, expr in sol.determined.items():
+            assert all(k >= n_unknowns for k in expr)
+            for k, planted in enumerate(x[j]):
+                assert expr.get(n_unknowns + k, RatFunc.zero()) == RatFunc.from_poly(planted)
 
 
 ORDER2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -130,6 +183,12 @@ class TestDerivation:
         assert sys6.basis == BASIS_RANK6
         assert sys6.size == 6
 
+    def test_full_system_six_basis_is_dependent(self):
+        with pytest.raises(BasisDependenceError) as exc:
+            derive_pfaffian(build_canonical_system(), BASIS_RANK6)
+        assert isinstance(exc.value, BasisClosureError)
+        assert exc.value.undetermined == set()
+
     def test_gkz_alone_five_basis_fails(self):
         gkz = build_canonical_system().gkz_part()
         with pytest.raises(BasisClosureError) as exc:
@@ -157,7 +216,33 @@ class TestIntegrability:
         rows[2][3] = rows[2][3] + RatFunc.one()
         broken = PfaffianSystem(basis=sys5.basis, mp=tuple(tuple(r) for r in rows),
                                 mq=sys5.mq, mr=sys5.mr)
-        assert check_integrability(broken) > 0
+        assert check_integrability(broken) == 17
+
+
+DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+def canonical_digest(system: PfaffianSystem) -> str:
+    text = json.dumps(system.to_json(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDerivedDigests:
+    """The derived connections hash to the committed SHA-256 digests."""
+
+    @pytest.fixture(scope="class")
+    def digests(self):
+        with open(DIGESTS, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_p2(self, sys5, digests):
+        assert canonical_digest(sys5) == digests["p2"]
+
+    def test_q2(self, digests):
+        assert canonical_digest(rank5_system("q2")) == digests["q2"]
+
+    def test_p2q2(self, sys6, digests):
+        assert canonical_digest(sys6) == digests["p2q2"]
 
 
 class TestSingularFactors:

@@ -1,5 +1,7 @@
 """Path transport, monodromy, series consistency."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,19 @@ class TestMonodromy:
         result = monodromy(conn, loop, tol=1e-10)
         assert abs(abs(result.determinant) - 1) < 1e-6
         assert result.det_consistency < 1e-6
+
+    def test_rejected_steps_reported(self, conn):
+        # every attempted Dormand-Prince step costs six RHS calls after the
+        # first-same-as-last start, so the calls account for steps + rejects
+        loop = Path((CircleSegment(coordinate="r", center=0j, radius=0.01, turns=1.0,
+                                   fixed={"p": 0.5 + 0j, "q": 1 / 3 + 0j}),))
+        with mock.patch.object(conn, "directional", wraps=conn.directional) as spy:
+            result = transport(conn, loop, tol=1e-10)
+        assert result.rejects > 0
+        assert spy.call_count == 1 + 6 * (result.step_count + result.rejects)
+        loop_result = monodromy(conn, loop, tol=1e-10)
+        assert (loop_result.step_count, loop_result.rejects) == (
+            result.step_count, result.rejects)
 
     def test_inverse_loop_gives_inverse(self, conn):
         loop = Path((CircleSegment(coordinate="r", center=0j, radius=0.01, turns=1.0,
