@@ -3,8 +3,10 @@
 The connection d(phi) = (M_p dp + M_q dq + M_r dr) phi is integrated as a
 non-autonomous linear ODE along piecewise paths (straight segments and
 coordinate circles), with an embedded Dormand-Prince 5(4) stepper and a PI
-step-size controller.  The exact rational-function entries are compiled
-once into term lists and evaluated per step with cached power tables.
+step-size controller.  The exact rational-function entries of all three
+matrices are compiled once into coefficient arrays over one shared monomial
+table, so each right-hand side is one power table, two matrix-vector
+products and a division, guarded by a relative denominator floor.
 
 Initial data near the origin comes from the period series: the local
 solution vector is (basis_j u) evaluated from the truncated series, with
@@ -25,7 +27,6 @@ import numpy as np
 
 from .geometry import divisor_clearance
 from .pfaffian import PfaffianSystem
-from .polynomials import RatFunc
 from .series import TruncatedSeries, evaluate_series, period_series
 
 Point = tuple[complex, complex, complex]
@@ -223,81 +224,60 @@ def check_clearance(path: Path, min_clearance: float = 1e-3) -> float:
 
 # -- compiled connection ---------------------------------------------------------
 
+# Relative floor on |denominator| against the sum of its term magnitudes, as
+# in RatFunc.evaluate.
+DEN_FLOOR = 1e-12
+
 
 class CompiledConnection:
-    """Term-list compilation of the three connection matrices."""
+    """The three connection matrices compiled into one monomial table.
+
+    Row (x*n + i)*n + j of the numerator and denominator arrays holds the
+    coefficients of entry (i, j) of M_x (x = p, q, r in that order) over
+    every monomial that occurs in any entry.
+    """
 
     def __init__(self, system: PfaffianSystem):
-        self.system = system
         self.size = system.size
-        self.compiled = {
-            var: [[_compile_ratfunc(e) for e in row] for row in system.matrix(var)]
-            for var in "pqr"
-        }
-        self.max_exp = 0
-        for var in "pqr":
-            for row in self.compiled[var]:
-                for num_terms, den_terms in row:
-                    for terms in (num_terms, den_terms):
-                        for a, b, c, _ in terms:
-                            self.max_exp = max(self.max_exp, a, b, c)
+        entries = [(list(e.num.terms()), list(e.den.terms()))
+                   for var in "pqr" for row in system.matrix(var) for e in row]
+        monomials = sorted({exps for entry in entries for terms in entry
+                            for exps, _ in terms})
+        column = {m: k for k, m in enumerate(monomials)}
+        self._exponents = np.array(monomials, dtype=np.intp).T
+        self._num = np.zeros((len(entries), len(monomials)), dtype=complex)
+        self._den = np.zeros_like(self._num)
+        for row, entry in enumerate(entries):
+            for coeffs, terms in zip((self._num, self._den), entry):
+                for exps, c in terms:
+                    coeffs[row, column[exps]] = complex(c)
+        self._den_abs = np.abs(self._den)
+        self._max_exp = int(self._exponents.max())
 
-    def _powers(self, point: Point) -> tuple[list[complex], ...]:
-        tables = []
-        for z in point:
-            row = [1.0 + 0j]
-            for _ in range(self.max_exp):
-                row.append(row[-1] * z)
-            tables.append(row)
-        return tuple(tables)
-
-    def matrix(self, var: str, point: Point) -> np.ndarray:
-        pw = self._powers(point)
+    def _values(self, point: Point) -> np.ndarray:
+        """M_p, M_q and M_r at the point, stacked with shape (3, n, n).
+        A denominator within DEN_FLOOR of cancelling raises TransportError."""
+        powers = np.vander(np.asarray(point, dtype=complex), self._max_exp + 1,
+                           increasing=True)
+        a, b, c = self._exponents
+        mono = powers[0, a] * powers[1, b] * powers[2, c]
+        num = self._num @ mono
+        den = self._den @ mono
+        if np.any(np.abs(den) <= DEN_FLOOR * (self._den_abs @ np.abs(mono))):
+            raise TransportError(
+                f"connection pole hit at {point}: a denominator is below "
+                f"{DEN_FLOOR:g} of its term magnitudes")
         n = self.size
-        out = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                num_terms, den_terms = self.compiled[var][i][j]
-                if not num_terms:
-                    continue
-                num = sum(c * pw[0][a] * pw[1][b] * pw[2][cc] for a, b, cc, c in num_terms)
-                den = sum(c * pw[0][a] * pw[1][b] * pw[2][cc] for a, b, cc, c in den_terms)
-                if den == 0:
-                    raise TransportError(f"connection pole hit at {point}")
-                out[i, j] = num / den
-        return out
+        return (num / den).reshape(3, n, n)
 
     def directional(self, point: Point, velocity: Point) -> np.ndarray:
         """A = sum over x of M_x(point) * dx/ds."""
-        n = self.size
-        out = np.zeros((n, n), dtype=complex)
-        for var, v in zip("pqr", velocity):
-            if v != 0:
-                out += self.matrix(var, point) * v
-        return out
+        return np.tensordot(np.asarray(velocity, dtype=complex), self._values(point), axes=1)
 
     def trace_directional(self, point: Point, velocity: Point) -> complex:
-        total = 0j
-        for var, v in zip("pqr", velocity):
-            if v == 0:
-                continue
-            pw = self._powers(point)
-            for i in range(self.size):
-                num_terms, den_terms = self.compiled[var][i][i]
-                if not num_terms:
-                    continue
-                num = sum(c * pw[0][a] * pw[1][b] * pw[2][cc] for a, b, cc, c in num_terms)
-                den = sum(c * pw[0][a] * pw[1][b] * pw[2][cc] for a, b, cc, c in den_terms)
-                total += v * num / den
-        return total
-
-
-def _compile_ratfunc(f: RatFunc):
-    if f.is_zero:
-        return ([], [(0, 0, 0, 1.0 + 0j)])
-    num = [(a, b, c, complex(v)) for (a, b, c), v in f.num.terms()]
-    den = [(a, b, c, complex(v)) for (a, b, c), v in f.den.terms()]
-    return (num, den)
+        """tr A, contracted from tr M_x without forming A."""
+        traces = np.trace(self._values(point), axis1=1, axis2=2)
+        return complex(np.asarray(velocity, dtype=complex) @ traces)
 
 
 # -- Dormand-Prince 5(4) ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Path transport, monodromy, series consistency."""
 
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from kummer_pf.transport import (
     LineSegment,
     Path,
     PathFormatError,
+    TransportError,
     check_clearance,
     initial_state,
     monodromy,
@@ -70,6 +73,41 @@ class TestPaths:
     def test_clearance_accepts_generic(self):
         path = Path((LineSegment(GENERIC_A, GENERIC_B),))
         assert check_clearance(path, 1e-3) > 1e-3
+
+
+# Dyadic, so the float point is the rational point exactly.
+RATIONAL_POINTS = [
+    (Fraction(13, 32), Fraction(9, 32), Fraction(3, 64)),
+    (Fraction(7, 16), Fraction(11, 32), Fraction(5, 128)),
+    (Fraction(3, 8), Fraction(5, 16), Fraction(1, 32)),
+]
+
+
+class TestCompiledConnection:
+    @pytest.mark.parametrize("point", RATIONAL_POINTS)
+    def test_matches_exact_evaluation(self, conn, sys5, point):
+        # directional along e_x is M_x; each entry against exact arithmetic
+        fpoint = tuple(float(x) for x in point)
+        for k, var in enumerate("pqr"):
+            unit = tuple(1.0 if i == k else 0.0 for i in range(3))
+            exact = np.array([[float(f.evaluate_exact(point)) for f in row]
+                              for row in sys5.matrix(var)])
+            np.testing.assert_allclose(conn.directional(fpoint, unit), exact,
+                                       rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("point", RATIONAL_POINTS)
+    def test_trace_directional_is_trace(self, conn, point):
+        fpoint = tuple(float(x) for x in point)
+        velocity = (0.3 - 0.1j, 1.2, 0.7j)
+        trace = np.trace(conn.directional(fpoint, velocity))
+        assert abs(conn.trace_directional(fpoint, velocity) - trace) <= 1e-12 * abs(trace)
+
+    # r = 0 is a pole of M_r; on p = 1/2, q = 1/3, d1 = r (7/36 - 81 r^2)
+    @pytest.mark.parametrize("r", [0.0, math.sqrt(7) / 54, -math.sqrt(7) / 54],
+                             ids=["r0", "d1+", "d1-"])
+    def test_denominator_floor_raises(self, conn, r):
+        with pytest.raises(TransportError, match="pole"):
+            conn.directional((0.5, 1 / 3, r), (0.0, 0.0, 1.0))
 
 
 class TestInitialState:
