@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .divisors import CANDIDATE_DIVISORS
-from .polynomials import RatFunc
+from .polynomials import MultiPoly, RatFunc
 
 D1_TEXT = (
     "-q^4 + 2 p q^4 - 4 q^2 r + 15 p q^2 r - 15 p^2 q^2 r + 6 q^3 r"
@@ -139,7 +139,7 @@ def _tokenize(text: str) -> list:
             # printed expressions glue symbols together ("4pd1"); split the
             # run greedily into known names
             while run:
-                for name in ("d1", "d2", "d3", "p", "q", "r"):
+                for name in CANDIDATE_DIVISORS:
                     if run.startswith(name):
                         tokens.append(("name", name))
                         run = run[len(name):]
@@ -155,15 +155,22 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+_Quotient = tuple[MultiPoly, MultiPoly]
+
+
 class _Parser:
     """Recursive-descent parser for printed polynomial expressions:
     juxtaposition multiplies, '/' divides by the next factor, '^' takes
-    integer exponents with or without braces."""
+    integer exponents with or without braces.
 
-    def __init__(self, tokens: list, env: dict[str, RatFunc]):
+    Every subexpression is an unreduced (numerator, denominator) pair of
+    polynomials; ``parse`` reduces the whole expression once, so an entry
+    with hundreds of printed terms costs one gcd instead of one per term.
+    """
+
+    def __init__(self, tokens: list):
         self.tokens = tokens
         self.pos = 0
-        self.env = env
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -174,45 +181,47 @@ class _Parser:
         return tok
 
     def parse(self) -> RatFunc:
-        value = self.expr()
+        num, den = self.expr()
         if self.pos != len(self.tokens):
             raise ExpressionError(f"trailing tokens at {self.pos}: {self.tokens[self.pos:]}")
-        return value
+        return RatFunc(num, den)
 
-    def expr(self) -> RatFunc:
-        sign = 1
-        kind, _ = self.peek()
-        if kind == "-":
-            self.take()
-            sign = -1
-        elif kind == "+":
-            self.take()
-        total = self.term() * sign
+    def expr(self) -> _Quotient:
+        if self.peek()[0] in ("+", "-"):
+            num, den = MultiPoly.zero(), MultiPoly.one()  # a leading sign adds to 0
+        else:
+            num, den = self.term()
         while True:
             kind, _ = self.peek()
-            if kind == "+":
-                self.take()
-                total = total + self.term()
-            elif kind == "-":
-                self.take()
-                total = total - self.term()
+            if kind not in ("+", "-"):
+                return num, den
+            self.take()
+            t_num, t_den = self.term()
+            if kind == "-":
+                t_num = -t_num
+            if t_den == den:
+                num = num + t_num
             else:
-                return total
+                num, den = num * t_den + t_num * den, den * t_den
 
-    def term(self) -> RatFunc:
-        value = self.factor()
+    def term(self) -> _Quotient:
+        num, den = self.factor()
         while True:
             kind, _ = self.peek()
             if kind == "/":
                 self.take()
-                value = value / self.factor()
+                f_num, f_den = self.factor()
+                if f_num.is_zero:
+                    raise ZeroDivisionError("division by the zero rational function")
+                num, den = num * f_den, den * f_num
             elif kind in ("int", "name", "("):
-                value = value * self.factor()
+                f_num, f_den = self.factor()
+                num, den = num * f_num, den * f_den
             else:
-                return value
+                return num, den
 
-    def factor(self) -> RatFunc:
-        base = self.atom()
+    def factor(self) -> _Quotient:
+        num, den = self.atom()
         kind, _ = self.peek()
         if kind == "^":
             self.take()
@@ -226,21 +235,15 @@ class _Parser:
                     raise ExpressionError("unclosed exponent brace")
             elif kind != "int":
                 raise ExpressionError("expected integer exponent after ^")
-            exponent = val
-            result = RatFunc.one()
-            for _ in range(exponent):
-                result = result * base
-            return result
-        return base
+            return num ** val, den ** val
+        return num, den
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> _Quotient:
         kind, val = self.take()
         if kind == "int":
-            return RatFunc.constant(val)
+            return MultiPoly.constant(val), MultiPoly.one()
         if kind == "name":
-            if val not in self.env:
-                raise ExpressionError(f"unknown symbol {val!r}")
-            return self.env[val]
+            return CANDIDATE_DIVISORS[val], MultiPoly.one()
         if kind == "(":
             inner = self.expr()
             closing, _ = self.take()
@@ -250,13 +253,8 @@ class _Parser:
         raise ExpressionError(f"unexpected token {kind!r}")
 
 
-def _environment() -> dict[str, RatFunc]:
-    env = {name: RatFunc.from_poly(poly) for name, poly in CANDIDATE_DIVISORS.items()}
-    return env
-
-
 def parse_expression(text: str) -> RatFunc:
-    return _Parser(_tokenize(text), _environment()).parse()
+    return _Parser(_tokenize(text)).parse()
 
 
 @lru_cache(maxsize=None)

@@ -17,14 +17,17 @@ four toric relations alone, while the six-element basis {1, tp, tq, tr,
 tp^2, tq^2} closes for the toric relations.
 
 Integrability (d Omega = Omega ^ Omega) is certified as three exact
-polynomial matrix identities over one common denominator of all three
-matrices, with no floating point and no rational-function gcds.
+polynomial matrix identities.  Each row is cleared by its own denominator,
+the lcm of that row's entry denominators in all three matrices, so rows
+with small denominators stay small polynomials; there is no floating point
+and no rational-function gcd.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .divisors import CANDIDATE_DIVISORS
@@ -215,53 +218,46 @@ def derive_pfaffian(relations: Sequence[ThetaOperator] | CanonicalSystem,
 # -- integrability ------------------------------------------------------------
 
 
-def _mat_mul(a: list[list[MultiPoly]], b: list[list[MultiPoly]]) -> list[list[MultiPoly]]:
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), MultiPoly.zero()) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _mat_sub(a: list[list[MultiPoly]], b: list[list[MultiPoly]]) -> list[list[MultiPoly]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_derivative(a: list[list[MultiPoly]], var: str) -> list[list[MultiPoly]]:
-    return [[e.derivative(var) for e in row] for row in a]
-
-
 def check_integrability(system: PfaffianSystem) -> int:
     """Verify the three commutator identities exactly.
 
-    With M_x = N_x / D over the lcm D of every entry denominator,
-    D^2 (d/dx M_y - d/dy M_x - [M_x, M_y]) is the polynomial matrix
-    D (d/dx N_y - d/dy N_x) - N_y dD/dx + N_x dD/dy - [N_x, N_y].
-    Returns the residual: the number of its nonzero entries across the
-    three identities (0 means integrable).
+    Row i of every matrix is cleared by its own denominator d_i, the lcm of
+    that row's entry denominators in M_p, M_q and M_r: M_x[i][j] =
+    N_x[i][j] / d_i.  With D = lcm_i d_i and e_i = D / d_i, entry (i, j) of
+    d_i D (d/dx M_y - d/dy M_x - [M_x, M_y]) is the polynomial
+
+        D (d/dx N_y - d/dy N_x)[i][j] - e_i (N_y[i][j] dd_i/dx - N_x[i][j] dd_i/dy)
+          - sum_k (N_x[i][k] e_k N_y[k][j] - N_y[i][k] e_k N_x[k][j]).
+
+    d_i D is nonzero, so the residual -- the number of nonzero entries
+    across the three identities -- is the same as for the uncleared
+    matrices (0 means integrable).
     """
-    den = MultiPoly.one()
-    for var in "pqr":
-        for row in system.matrix(var):
-            for entry in row:
-                den = poly_lcm(den, entry.den)
+    n = system.size
+    row_dens = [reduce(poly_lcm, (e.den for var in "pqr" for e in system.matrix(var)[i]))
+                for i in range(n)]
+    den = reduce(poly_lcm, row_dens)
+    cofactors = [den.exact_div(d) for d in row_dens]
     cleared = {
-        var: [[entry.num * den.exact_div(entry.den) for entry in row]
-              for row in system.matrix(var)]
+        var: [[entry.num * d.exact_div(entry.den) for entry in row]
+              for row, d in zip(system.matrix(var), row_dens)]
         for var in "pqr"
     }
+    # N_x[i][k] e_k, the left factor of every commutator product
+    scaled = {var: [[e * c for e, c in zip(row, cofactors)] for row in rows]
+              for var, rows in cleared.items()}
     residual = 0
     for x, y in (("p", "q"), ("q", "r"), ("r", "p")):
-        nx, ny = cleared[x], cleared[y]
-        den_x, den_y = den.derivative(x), den.derivative(y)
-        curl = _mat_sub(_mat_derivative(ny, x), _mat_derivative(nx, y))
-        commutator = _mat_sub(_mat_mul(nx, ny), _mat_mul(ny, nx))
-        diff = [
-            [den * c - e_y * den_x + e_x * den_y - k
-             for c, e_y, e_x, k in zip(curl_row, ny_row, nx_row, comm_row)]
-            for curl_row, ny_row, nx_row, comm_row in zip(curl, ny, nx, commutator)
-        ]
-        residual += sum(1 for row in diff for e in row if not e.is_zero)
+        nx, ny, hx, hy = cleared[x], cleared[y], scaled[x], scaled[y]
+        for i in range(n):
+            d_x, d_y = row_dens[i].derivative(x), row_dens[i].derivative(y)
+            for j in range(n):
+                commutator = sum((hx[i][k] * ny[k][j] - hy[i][k] * nx[k][j]
+                                  for k in range(n)), MultiPoly.zero())
+                entry = (den * (ny[i][j].derivative(x) - nx[i][j].derivative(y))
+                         - cofactors[i] * (ny[i][j] * d_x - nx[i][j] * d_y)
+                         - commutator)
+                residual += not entry.is_zero
     return residual
 
 

@@ -44,6 +44,17 @@ class TestParser:
         with pytest.raises(ExpressionError):
             parse_expression("(p + q")
 
+    @pytest.mark.parametrize("text, error", [
+        ("p q )", ExpressionError),
+        ("p^q", ExpressionError),
+        ("p^{2", ExpressionError),
+        ("p^{q}", ExpressionError),
+        ("p/0", ZeroDivisionError),
+    ])
+    def test_malformed_expression_rejected(self, text, error):
+        with pytest.raises(error):
+            parse_expression(text)
+
 
 class TestTranscription:
     def test_divisor_texts_match_hand_typed(self):
@@ -74,18 +85,23 @@ class TestTranscription:
         assert len(ENTRIES) == 75
 
 
+@pytest.fixture(scope="module")
+def sys5():
+    return rank5_system()
+
+
 class TestComparison:
-    def test_rows_one_to_four_match(self):
-        diff = compare_fixture(rank5_system(), appendix_matrices())
+    def test_rows_one_to_four_match(self, sys5):
+        diff = compare_fixture(sys5, appendix_matrices())
         assert diff.mismatches_in_rows([1, 2, 3, 4]) == []
 
-    def test_all_rows_match(self):
+    def test_all_rows_match(self, sys5):
         # the printed tables turn out to be typo-free: row 5 matches too
-        diff = compare_fixture(rank5_system(), appendix_matrices())
+        diff = compare_fixture(sys5, appendix_matrices())
         assert diff.mismatches == []
 
-    def test_report_shape(self):
-        diff = compare_fixture(rank5_system(), appendix_matrices())
+    def test_report_shape(self, sys5):
+        diff = compare_fixture(sys5, appendix_matrices())
         data = diff.to_json()
         assert data["mismatch_count"] == 0
         assert len(data["entries"]) == 75

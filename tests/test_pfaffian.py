@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from kummer_pf.pfaffian import (
     series_consistency_defects,
     singular_factors,
 )
-from kummer_pf.polynomials import MultiPoly, RatFunc
+from kummer_pf.polynomials import MultiPoly, RatFunc, poly_lcm
 
 P = MultiPoly.variable("p")
 Q = MultiPoly.variable("q")
@@ -217,6 +218,59 @@ class TestIntegrability:
         broken = PfaffianSystem(basis=sys5.basis, mp=tuple(tuple(r) for r in rows),
                                 mq=sys5.mq, mr=sys5.mr)
         assert check_integrability(broken) == 17
+
+    # Each mutant adds `delta` to one entry (1-indexed) of one matrix.  The
+    # residual counts the nonzero entries of the curvature itself, so the
+    # count does not depend on how the certificate clears denominators.
+    @pytest.mark.parametrize("system, var, i, j, delta, count", [
+        ("sys5", "q", 1, 1, 1, 9),
+        ("sys5", "r", 4, 2, 1, 12),
+        ("sys5", "p", 5, 5, 1, 14),
+        ("sys5", "r", 5, 1, R, 10),
+        ("sys6", "q", 6, 3, 1, 17),
+        ("sys6", "p", 1, 1, 1, 8),
+    ], ids=["rank5-Mq11+1", "rank5-Mr42+1", "rank5-Mp55+1", "rank5-Mr51+r",
+            "rank6-Mq63+1", "rank6-Mp11+1"])
+    def test_mutant_counts(self, request, system, var, i, j, delta, count):
+        base = request.getfixturevalue(system)
+        mats = {v: [list(row) for row in base.matrix(v)] for v in "pqr"}
+        mats[var][i - 1][j - 1] = mats[var][i - 1][j - 1] + delta
+        broken = PfaffianSystem(
+            basis=base.basis,
+            **{f"m{v}": tuple(tuple(row) for row in mats[v]) for v in "pqr"})
+        assert check_integrability(broken) == count
+
+    def test_flat_rows_with_distinct_denominators(self):
+        # M_x = (d/dx G) G^-1 is flat for any invertible polynomial G: its
+        # columns are a fundamental solution.  A lower-triangular G gives
+        # every row its own denominator.
+        zero = MultiPoly.zero()
+        g = [[1 + P, zero, zero],
+             [Q * R, 1 + Q, zero],
+             [P - R, P * Q, 1 + P * R]]
+        cof = [[RatFunc.from_poly(g[(c + 1) % 3][(d + 1) % 3] * g[(c + 2) % 3][(d + 2) % 3]
+                                  - g[(c + 1) % 3][(d + 2) % 3] * g[(c + 2) % 3][(d + 1) % 3])
+                for d in range(3)] for c in range(3)]
+        det = RatFunc.from_poly(sum((g[0][d] * cof[0][d].num for d in range(3)), zero))
+        inverse = [[cof[d][c] / det for d in range(3)] for c in range(3)]
+
+        def connection(var):
+            return tuple(
+                tuple(sum((RatFunc.from_poly(g[a][k].derivative(var)) * inverse[k][b]
+                           for k in range(3)), RatFunc.zero()) for b in range(3))
+                for a in range(3))
+
+        flat = PfaffianSystem(basis=BASIS_P2[:3], mp=connection("p"),
+                              mq=connection("q"), mr=connection("r"))
+        row_dens = {reduce(poly_lcm, (e.den for m in "pqr" for e in flat.matrix(m)[a]))
+                    for a in range(3)}
+        assert len(row_dens) == 3
+        assert check_integrability(flat) == 0
+        rows = [list(row) for row in flat.mq]
+        rows[2][0] = rows[2][0] + RatFunc.one()
+        assert check_integrability(PfaffianSystem(
+            basis=flat.basis, mp=flat.mp, mq=tuple(tuple(r) for r in rows),
+            mr=flat.mr)) == 2
 
 
 DIGESTS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "digests.json"
