@@ -1,12 +1,13 @@
 """First-order closure of the canonical system: the Pfaffian connection.
 
-Given the second-order annihilators, every theta monomial of order <= 3 is
-reduced, modulo the left ideal they generate, to a rational-function
-combination of a chosen basis of theta monomials.  The reduction pool is
-the relations themselves plus every composition theta_g . R_i; a single
-fraction-free elimination over Q[p,q,r] then determines all reductions at
-once.  When the chosen basis closes, the theta actions assemble into
-matrices N_x with
+Given the second-order annihilators, every theta monomial theta_g . b that
+leaves a chosen basis of theta monomials (g a generator, b a basis element)
+is reduced, modulo the left ideal they generate, to a rational-function
+combination of the basis.  The reduction pool is the relations themselves
+plus every composition theta_g . R_i; a single fraction-free elimination
+over Q[p,q,r] then determines all reductions at once, and only those
+targets are put in canonical form.  When the chosen basis closes, the theta
+actions assemble into matrices N_x with
 
     theta_x (basis_j u) = sum_k N_x[j][k] (basis_k u),
 
@@ -146,14 +147,21 @@ def reduction_pool(relations: Sequence[ThetaOperator]) -> list[ThetaOperator]:
     return pool
 
 
+def _closure_targets(basis: Sequence[ThetaExps]) -> set[ThetaExps]:
+    """The monomials theta_g . b (g a generator, b in the basis) outside the basis."""
+    return {(b[0] + g[0], b[1] + g[1], b[2] + g[2]) for g in GENERATORS for b in basis
+            } - set(basis)
+
+
 def reduce_monomials(relations: Sequence[ThetaOperator], basis: Sequence[ThetaExps]
                      ) -> tuple[dict[ThetaExps, dict[ThetaExps, RatFunc]], set[ThetaExps]]:
-    """Reduce every non-basis theta monomial of order <= 3 modulo the ideal.
+    """Reduce every closure target of the basis modulo the ideal.
 
     Returns (reductions, undetermined): reductions[m][b] is the coefficient
-    of basis monomial b in the reduction of m; undetermined collects the
-    monomials the pool does not pin down (free or tainted).  Raises
-    BasisDependenceError when the basis itself is dependent modulo the ideal.
+    of basis monomial b in the reduction of target m; undetermined collects
+    the targets the pool does not pin down (free, tainted, or absent from
+    the pool).  Raises BasisDependenceError when the basis itself is
+    dependent modulo the ideal.
     """
     pool = reduction_pool(relations)
     monomials: set[ThetaExps] = set()
@@ -168,17 +176,13 @@ def reduce_monomials(relations: Sequence[ThetaOperator], basis: Sequence[ThetaEx
     if not solution.consistent:
         # a pool row with no unknown left is a relation among the basis
         raise BasisDependenceError(basis)
+    targets = _closure_targets(basis)
     reductions: dict[ThetaExps, dict[ThetaExps, RatFunc]] = {}
-    undetermined: set[ThetaExps] = set()
     for idx, mono in enumerate(unknown_cols):
-        if solution.is_determined(idx):
-            expr = solution.determined[idx]
-            reductions[mono] = {
-                rhs_cols[k - len(unknown_cols)]: v for k, v in expr.items()
-            }
-        else:
-            undetermined.add(mono)
-    return reductions, undetermined
+        if mono in targets and solution.is_determined(idx):
+            reductions[mono] = {rhs_cols[k - len(unknown_cols)]: solution.coefficient(idx, k)
+                                for k in solution.determined[idx]}
+    return reductions, targets - set(reductions)
 
 
 def derive_pfaffian(relations: Sequence[ThetaOperator] | CanonicalSystem,
@@ -189,15 +193,8 @@ def derive_pfaffian(relations: Sequence[ThetaOperator] | CanonicalSystem,
         relations = list(relations.operators)
     basis = tuple(basis)
     reductions, undetermined = reduce_monomials(relations, basis)
-    needed: set[ThetaExps] = set()
-    for g in GENERATORS:
-        for w in basis:
-            target = (w[0] + g[0], w[1] + g[1], w[2] + g[2])
-            if target not in basis:
-                needed.add(target)
-    missing = {m for m in needed if m not in reductions}
-    if missing:
-        raise BasisClosureError(basis, missing | (undetermined & needed))
+    if undetermined:
+        raise BasisClosureError(basis, undetermined)
     matrices = {}
     for g in GENERATORS:
         var = VAR_OF_GENERATOR[g]

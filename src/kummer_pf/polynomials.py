@@ -778,7 +778,9 @@ class RatFunc:
 
     Invariants: den != 0; gcd(num, den) = 1; den is integer-primitive with
     positive lex-leading coefficient (all sign and rational content lives
-    in the numerator), so equality is structural.
+    in the numerator), so equality is structural.  ``_reduced`` asserts
+    that num and den are already coprime, which skips the gcd but not the
+    content normalisation.
     """
 
     __slots__ = ("num", "den")
@@ -797,10 +799,10 @@ class RatFunc:
             if not g.is_constant():
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            c = den.integer_content()
-            if c != 1:
-                den = den * (1 / c)
-                num = num * (1 / c)
+        c = den.integer_content()
+        if c != 1:
+            den = den * (1 / c)
+            num = num * (1 / c)
         self.num = num
         self.den = den
 
@@ -896,7 +898,9 @@ class RatFunc:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return _RF_ZERO
-        # cross-reduce before multiplying to keep the final gcd trivial
+        # cross-reduce: with gcd(a_num, a_den) = gcd(b_num, b_den) = 1, the
+        # products left after removing gcd(a_num, b_den) and gcd(b_num, a_den)
+        # are coprime, so no final gcd is needed
         a_num, a_den = self.num, self.den
         b_num, b_den = other.num, other.den
         g1 = poly_gcd(a_num, b_den)
@@ -907,7 +911,7 @@ class RatFunc:
         if not g2.is_constant():
             b_num = b_num.exact_div(g2)
             a_den = a_den.exact_div(g2)
-        return RatFunc(a_num * b_num, a_den * b_den)
+        return RatFunc(a_num * b_num, a_den * b_den, _reduced=True)
 
     __rmul__ = __mul__
 

@@ -3,20 +3,29 @@
 ``bench/tracing.py`` replaces every ``(module, function)`` in ``FUNCTIONS``
 and every ``(class, method)`` in ``METHODS`` with a timing wrapper, so a
 rename or deletion in ``kummer_pf`` would otherwise only show up in a
-traced benchmark run.
+traced benchmark run.  Some wrappers also pass the call's arguments to a
+counting hook, so a traced derivation checks that those hooks still accept
+the program's calls.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_traced_names_resolve():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    tracing = load_tracing()
     missing = []
     for mod_name, fn_name, _ in tracing.FUNCTIONS:
         module = importlib.import_module(f"kummer_pf.{mod_name}")
@@ -28,3 +37,23 @@ def test_traced_names_resolve():
         if not callable(vars(cls).get(meth) if cls else None):
             missing.append(f"{mod_name}.{cls_name}.{meth}")
     assert missing == []
+
+
+def test_traced_hooks_accept_program_calls():
+    # The hooks read call arguments: `_after_solve(key, result, rows,
+    # n_unknowns)` fails if `solve_poly_rows` is called with another shape.
+    tracing = load_tracing()
+    for mod_name in {entry[0] for entry in tracing.FUNCTIONS + tracing.METHODS}:
+        importlib.import_module(f"kummer_pf.{mod_name}")
+    from kummer_pf import operators, pfaffian
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with pytest.raises(pfaffian.BasisClosureError):
+            pfaffian.derive_pfaffian(operators.build_canonical_system().gkz_part(),
+                                     pfaffian.BASIS_P2)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["linalg.pool_rows"] == 16
+    assert tracer.spans["pfaffian.derive.witness"][0] == 1

@@ -1,12 +1,14 @@
 """Connection derivation, integrability, singular loci."""
 
 import hashlib
+import itertools
 import json
 import pathlib
+import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kummer_pf.divisors import D1
@@ -45,6 +47,11 @@ def sys6():
     return rank6_system()
 
 
+@pytest.fixture(scope="module")
+def sys5_q2():
+    return rank5_system("q2")
+
+
 class TestLinearSolver:
     def test_simple_two_by_two(self):
         # x1 + p x2 + 1 = 0 ; q x2 + p = 0  ->  x2 = -p/q, x1 = p^2/q - 1
@@ -55,9 +62,9 @@ class TestLinearSolver:
         ]
         sol = solve_poly_rows(rows, 2)
         assert sol.consistent and not sol.free
-        x2 = sol.determined[1][2]
+        x2 = sol.coefficient(1, 2)
         assert x2 == RatFunc(-P, Q)
-        x1 = sol.determined[0][2]
+        x1 = sol.coefficient(0, 2)
         assert x1 == RatFunc(P * P - Q, Q)
 
     def test_underdetermined_marked(self):
@@ -120,7 +127,22 @@ class TestPlantedSolutions:
         for j, expr in sol.determined.items():
             assert all(k >= n_unknowns for k in expr)
             for k, planted in enumerate(x[j]):
-                assert expr.get(n_unknowns + k, RatFunc.zero()) == RatFunc.from_poly(planted)
+                assert sol.coefficient(j, n_unknowns + k) == RatFunc.from_poly(planted)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_rhs_is_inconsistent(self, data):
+        # Adding 1 to b_i moves the rhs by e_i, which lies outside the column
+        # space of A whenever the other rows alone have full column rank.
+        # The solver stops at full column rank, so with four rows and two
+        # unknowns the perturbed row is usually certified by substitution.
+        rows, _ = data.draw(planted_systems(4, 2))
+        i = data.draw(st.integers(0, 3))
+        others = [row for s, row in enumerate(rows) if s != i]
+        assume(any(not (a[0] * b[1] - a[1] * b[0]).is_zero
+                   for a, b in itertools.combinations(others, 2)))
+        rows[i] = rows[i][:2] + [rows[i][2] + 1] + rows[i][3:]
+        assert not solve_poly_rows(rows, 2).consistent
 
 
 ORDER2 = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -196,9 +218,8 @@ class TestDerivation:
             derive_pfaffian(gkz, BASIS_P2)
         assert (0, 2, 0) in exc.value.undetermined
 
-    def test_alternate_basis_closes(self):
-        alt = rank5_system("q2")
-        assert alt.basis == BASIS_Q2
+    def test_alternate_basis_closes(self, sys5_q2):
+        assert sys5_q2.basis == BASIS_Q2
 
     def test_series_consistency(self, sys5):
         assert series_consistency_defects(sys5, 10) == []
@@ -292,11 +313,33 @@ class TestDerivedDigests:
     def test_p2(self, sys5, digests):
         assert canonical_digest(sys5) == digests["p2"]
 
-    def test_q2(self, digests):
-        assert canonical_digest(rank5_system("q2")) == digests["q2"]
+    def test_q2(self, sys5_q2, digests):
+        assert canonical_digest(sys5_q2) == digests["q2"]
 
     def test_p2q2(self, sys6, digests):
         assert canonical_digest(sys6) == digests["p2q2"]
+
+    # The relation order steers the pivots; the canonical output must not move.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_p2q2_shuffled(self, seed, digests):
+        relations = list(build_canonical_system().gkz_part())
+        random.Random(seed).shuffle(relations)
+        assert canonical_digest(derive_pfaffian(relations, BASIS_RANK6)) == digests["p2q2"]
+
+    def test_p2_reversed(self, digests):
+        relations = list(reversed(build_canonical_system().operators))
+        assert canonical_digest(derive_pfaffian(relations, BASIS_P2)) == digests["p2"]
+
+    def test_witness_shuffled(self):
+        gkz = build_canonical_system().gkz_part()
+        with pytest.raises(BasisClosureError) as default:
+            derive_pfaffian(gkz, BASIS_P2)
+        for seed in (0, 1, 2):
+            relations = list(gkz)
+            random.Random(seed).shuffle(relations)
+            with pytest.raises(BasisClosureError) as shuffled:
+                derive_pfaffian(relations, BASIS_P2)
+            assert shuffled.value.undetermined == default.value.undetermined
 
 
 class TestSingularFactors:
@@ -306,16 +349,16 @@ class TestSingularFactors:
         assert {"p", "q", "d1", "d2", "d3"} <= report.occurring
         assert report.occurring <= {"p", "q", "r", "d1", "d2", "d3"}
 
-    def test_q2_basis_lacks_d1(self):
-        alt = rank5_system("q2")
+    def test_q2_basis_lacks_d1(self, sys5_q2):
+        alt = sys5_q2
         report = singular_factors(alt, require_complete=False)
         assert "d1" not in report.occurring
         assert not divisor_occurrence(alt, D1)
         # another factor newly appears in the alternate basis
         assert report.leftovers
 
-    def test_intersection_excludes_d1(self, sys5):
-        alt = rank5_system("q2")
+    def test_intersection_excludes_d1(self, sys5, sys5_q2):
+        alt = sys5_q2
         rep_a = singular_factors(sys5)
         rep_b = singular_factors(alt, require_complete=False)
         both = rep_a.occurring & rep_b.occurring

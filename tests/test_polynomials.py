@@ -198,6 +198,17 @@ class TestRatFunc:
         gr = RatFunc.from_poly(g)
         assert (fr / gr) * gr == fr
 
+    @given(st.lists(small_polys.filter(lambda f: not f.is_zero), min_size=6, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_mul_is_canonical(self, factors):
+        # s and t each sit in one operand's numerator and the other's
+        # denominator; u is in both numerators, v in both denominators.
+        f, g, s, t, u, v = factors
+        a = RatFunc(f * s * u, g * t * v)
+        b = RatFunc(t * u, s * v)
+        assert a * b == RatFunc(a.num * b.num, a.den * b.den)
+        assert b * a == RatFunc(a.num * b.num, a.den * b.den)
+
 
 class TestEvaluation:
     def test_direct_substitution(self):
