@@ -57,7 +57,6 @@ from .pfaffian import (
 from .polynomials import (
     BigRational,
     MultiPoly,
-    NearSingularEvaluation,
     RatFunc,
     TuplePoly,
     poly_gcd,

@@ -220,6 +220,7 @@ def cmd_transport(args) -> int:
             "eigenvalues": [[z.real, z.imag] for z in result.eigenvalues],
             "det": [result.determinant.real, result.determinant.imag],
             "det_consistency": result.det_consistency,
+            "trace_converged": result.trace_converged,
             "steps": result.step_count,
             "rejects": result.rejects,
             "max_local_error": result.max_local_error,

@@ -43,10 +43,6 @@ _MASK = (1 << _SHIFT) - 1
 _MAX_INPUT_EXP = 1 << 31
 
 
-class NearSingularEvaluation(ArithmeticError):
-    """Raised when a denominator is numerically too close to zero."""
-
-
 def _pack(exps: Exponents) -> int:
     a, b, c = exps
     if not (0 <= a < _MAX_INPUT_EXP and 0 <= b < _MAX_INPUT_EXP and 0 <= c < _MAX_INPUT_EXP):
@@ -936,20 +932,6 @@ class RatFunc:
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
 
     # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, point: tuple[complex, complex, complex],
-                 den_floor: float = 1e-12) -> complex:
-        """Evaluate at a complex point.
-
-        The denominator magnitude must stay above ``den_floor`` relative to
-        the sum of its term magnitudes, else NearSingularEvaluation.
-        """
-        den_val = self.den.evaluate(point)
-        scale = self.den.magnitude_scale(point)
-        if abs(den_val) < den_floor * max(scale, 1e-300):
-            raise NearSingularEvaluation(
-                f"denominator magnitude {abs(den_val):.3e} below floor at {point}")
-        return self.num.evaluate(point) / den_val
 
     def evaluate_exact(self, point: tuple[Fraction, Fraction, Fraction]) -> Fraction:
         den_val = self.den.evaluate_exact(point)

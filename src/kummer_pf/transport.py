@@ -3,17 +3,19 @@
 The connection d(phi) = (M_p dp + M_q dq + M_r dr) phi is integrated as a
 non-autonomous linear ODE along piecewise paths (straight segments and
 coordinate circles), with an embedded Dormand-Prince 5(4) stepper and a PI
-step-size controller.  The exact rational-function entries of all three
-matrices are compiled once into coefficient arrays over one shared monomial
-table, so each right-hand side is one power table, two matrix-vector
-products and a division, guarded by a relative denominator floor.
+step-size controller.  The exact entries of all three matrices are compiled
+once into one coefficient array over a shared monomial table, a column per
+numerator and per distinct denominator.  One evaluation serves a batch of
+points (a stepper stage, or a Gauss panel of the trace quadrature) with one
+product and a division, guarded by a relative floor on every denominator.
 
 Initial data near the origin comes from the period series: the local
 solution vector is (basis_j u) evaluated from the truncated series, with
 truncation tails checked against the requested tolerance.  Loop transport
 yields monodromy matrices; det(M) is cross-checked against the
 Liouville/Abel identity det M = exp(contour integral of tr Omega), the
-trace integral being computed independently by Gauss-Legendre quadrature.
+trace integral being computed independently by Gauss-Legendre quadrature,
+which reports whether its refinement settled.
 """
 
 from __future__ import annotations
@@ -224,106 +226,119 @@ def check_clearance(path: Path, min_clearance: float = 1e-3) -> float:
 
 # -- compiled connection ---------------------------------------------------------
 
-# Relative floor on |denominator| against the sum of its term magnitudes, as
-# in RatFunc.evaluate.
+# Relative floor on |denominator| against the sum of its term magnitudes at
+# the point; a denominator at or below it counts as a pole.
 DEN_FLOOR = 1e-12
 
 
 class CompiledConnection:
     """The three connection matrices compiled into one monomial table.
 
-    Row (x*n + i)*n + j of the numerator and denominator arrays holds the
-    coefficients of entry (i, j) of M_x (x = p, q, r in that order) over
-    every monomial that occurs in any entry.
+    Column (x*n + i)*n + j of the coefficient array holds the numerator of
+    entry (i, j) of M_x (x = p, q, r in that order) over every monomial that
+    occurs in any entry; the columns after the 3n^2 numerators hold each
+    distinct denominator once, and ``_den_column`` maps every entry to its
+    own.
     """
 
     def __init__(self, system: PfaffianSystem):
         self.size = system.size
-        entries = [(list(e.num.terms()), list(e.den.terms()))
-                   for var in "pqr" for row in system.matrix(var) for e in row]
-        monomials = sorted({exps for entry in entries for terms in entry
-                            for exps, _ in terms})
-        column = {m: k for k, m in enumerate(monomials)}
-        self._exponents = np.array(monomials, dtype=np.intp).T
-        self._num = np.zeros((len(entries), len(monomials)), dtype=complex)
-        self._den = np.zeros_like(self._num)
-        for row, entry in enumerate(entries):
-            for coeffs, terms in zip((self._num, self._den), entry):
-                for exps, c in terms:
-                    coeffs[row, column[exps]] = complex(c)
-        self._den_abs = np.abs(self._den)
-        self._max_exp = int(self._exponents.max())
+        entries = [e for var in "pqr" for row in system.matrix(var) for e in row]
+        distinct: dict = {}
+        self._den_column = np.array([distinct.setdefault(e.den, len(distinct))
+                                     for e in entries], dtype=np.intp)
+        polys = [e.num for e in entries] + list(distinct)
+        monomials = sorted({exps for poly in polys for exps, _ in poly.terms()})
+        row = {m: k for k, m in enumerate(monomials)}
+        self._coeffs = np.zeros((len(monomials), len(polys)), dtype=complex)
+        for col, poly in enumerate(polys):
+            for exps, c in poly.terms():
+                self._coeffs[row[exps], col] = complex(c)
+        self._den_abs = np.abs(self._coeffs[:, len(entries):])
+        exponents = np.array(monomials, dtype=np.intp).T
+        width = int(exponents.max()) + 1
+        self._powers = np.arange(width)
+        # index of x^e in a flattened (3, width) power table, per variable
+        self._gather = exponents + width * np.arange(3)[:, None]
 
-    def _values(self, point: Point) -> np.ndarray:
-        """M_p, M_q and M_r at the point, stacked with shape (3, n, n).
+    def _values(self, points) -> np.ndarray:
+        """M_p, M_q and M_r at N points, stacked with shape (N, 3, n, n).
         A denominator within DEN_FLOOR of cancelling raises TransportError."""
-        powers = np.vander(np.asarray(point, dtype=complex), self._max_exp + 1,
-                           increasing=True)
-        a, b, c = self._exponents
-        mono = powers[0, a] * powers[1, b] * powers[2, c]
-        num = self._num @ mono
-        den = self._den @ mono
-        if np.any(np.abs(den) <= DEN_FLOOR * (self._den_abs @ np.abs(mono))):
+        pts = np.asarray(points, dtype=complex).reshape(-1, 3)
+        powers = (pts[..., None] ** self._powers).reshape(len(pts), -1)
+        mono = np.take(powers, self._gather, axis=1).prod(axis=1)
+        values = mono @ self._coeffs
+        split = len(self._den_column)
+        den = values[:, split:]
+        poles = np.abs(den) <= DEN_FLOOR * (np.abs(mono) @ self._den_abs)
+        if poles.any():
+            point = tuple(complex(x) for x in pts[poles.any(axis=1).argmax()])
             raise TransportError(
                 f"connection pole hit at {point}: a denominator is below "
                 f"{DEN_FLOOR:g} of its term magnitudes")
         n = self.size
-        return (num / den).reshape(3, n, n)
+        return (values[:, :split] / den[:, self._den_column]).reshape(-1, 3, n, n)
 
     def directional(self, point: Point, velocity: Point) -> np.ndarray:
         """A = sum over x of M_x(point) * dx/ds."""
-        return np.tensordot(np.asarray(velocity, dtype=complex), self._values(point), axes=1)
+        n = self.size
+        values = self._values(point).reshape(3, n * n)
+        return (np.asarray(velocity, dtype=complex) @ values).reshape(n, n)
 
-    def trace_directional(self, point: Point, velocity: Point) -> complex:
-        """tr A, contracted from tr M_x without forming A."""
-        traces = np.trace(self._values(point), axis1=1, axis2=2)
-        return complex(np.asarray(velocity, dtype=complex) @ traces)
+    def trace_directional(self, points, velocities) -> np.ndarray:
+        """tr A at each of N points, contracted from tr M_x without forming A."""
+        traces = np.trace(self._values(points), axis1=2, axis2=3)
+        return (traces * np.asarray(velocities, dtype=complex).reshape(-1, 3)).sum(axis=1)
 
 
 # -- Dormand-Prince 5(4) ----------------------------------------------------------
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# Row i holds the weights of stage i's input; row 6 is the fifth-order
+# solution, whose slope is the next step's first stage (first-same-as-last).
+_DP_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                   187 / 2100, 1 / 40])
+_DP_ERR = _DP_A[6] - _DP_B4
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 
 
 def _rk45_segment(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
                   tol: float, stats: dict) -> np.ndarray:
-    """Integrate y' = f(s, y) from s=0 to s=1 with PI-controlled steps."""
+    """Integrate y' = f(s, y) from s=0 to s=1 with PI-controlled steps.
+    The seven stage slopes live in one array, so each stage input and the
+    error estimate are one weights-times-stack product."""
     atol = rtol = tol
     s = 0.0
     y = y0
     h = 0.05
     err_prev = 1.0
-    k1 = f(s, y)
+    ks = np.empty((7,) + y.shape, dtype=complex)
+    stack = ks.reshape(7, -1)
+    ks[0] = f(s, y)
     min_h = 1e-13
     while s < 1.0:
         h = min(h, 1.0 - s)
         if h < min_h:
             raise TransportError(f"step size collapse at s={s:.6f}")
-        ks = [k1]
-        for stage in range(1, 6):
-            yi = y + h * sum(a * k for a, k in zip(_DP_A[stage], ks))
-            ks.append(f(s + _DP_C[stage] * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5[:6], ks))
-        k7 = f(s + h, y5)
-        ks.append(k7)
-        err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
+        for stage in range(1, 7):
+            yi = y + h * (_DP_A[stage, :stage] @ stack[:stage]).reshape(y.shape)
+            ks[stage] = f(s + _DP_C[stage] * h, yi)
+        y5 = yi  # the last stage input is the fifth-order solution
+        err_vec = h * (_DP_ERR @ stack).reshape(y.shape)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
         if err <= 1.0:
             s += h
             y = y5
-            k1 = k7  # first-same-as-last
+            ks[0] = ks[6]  # first-same-as-last
             stats["steps"] = stats.get("steps", 0) + 1
             stats["max_local_error"] = max(
                 stats.get("max_local_error", 0.0), float(np.max(np.abs(err_vec))))
@@ -373,29 +388,29 @@ def transport(system: PfaffianSystem | CompiledConnection, path: Path,
 
 
 def trace_integral(system: PfaffianSystem | CompiledConnection, path: Path,
-                   order: int = 48, levels: int = 3) -> complex:
+                   order: int = 48, levels: int = 3) -> tuple[complex, bool]:
     """Contour integral of tr Omega by composite Gauss-Legendre quadrature,
-    refined until stable (independent of the ODE stepper)."""
+    refined until stable (independent of the ODE stepper).  Each panel of
+    ``order`` nodes is one batched evaluation.  Returns the last estimate
+    and whether the last refinement met the stopping test."""
     conn = system if isinstance(system, CompiledConnection) else CompiledConnection(system)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     previous = None
     pieces = 1
     for _ in range(levels + 1):
         total = 0j
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        half = 0.5 / pieces
         for seg in path.segments:
             for k in range(pieces):
-                lo = k / pieces
-                hi = (k + 1) / pieces
-                mid = (lo + hi) / 2
-                half = (hi - lo) / 2
-                for x, w in zip(nodes, weights):
-                    s = mid + half * x
-                    total += w * half * conn.trace_directional(seg.at(s), seg.velocity(s))
+                s = (2 * k + 1) * half + half * nodes
+                traces = conn.trace_directional([seg.at(x) for x in s],
+                                                [seg.velocity(x) for x in s])
+                total += half * (weights @ traces)
         if previous is not None and abs(total - previous) < 1e-12 * max(1.0, abs(total)):
-            return total
+            return total, True
         previous = total
         pieces *= 2
-    return previous
+    return previous, False
 
 
 @dataclass
@@ -404,6 +419,7 @@ class MonodromyResult:
     eigenvalues: np.ndarray
     determinant: complex
     trace_integral_det: complex
+    trace_converged: bool
     step_count: int
     rejects: int
     max_local_error: float
@@ -423,12 +439,13 @@ def monodromy(system: PfaffianSystem | CompiledConnection, loop: Path,
     result = transport(conn, loop, y0=None, tol=tol, min_clearance=min_clearance)
     m = result.fundamental_matrix
     det = complex(np.linalg.det(m))
-    tr = trace_integral(conn, loop)
+    tr, converged = trace_integral(conn, loop)
     return MonodromyResult(
         matrix=m,
         eigenvalues=np.linalg.eigvals(m),
         determinant=det,
         trace_integral_det=cmath.exp(tr),
+        trace_converged=converged,
         step_count=result.step_count,
         rejects=result.rejects,
         max_local_error=result.max_local_error,

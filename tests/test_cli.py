@@ -184,6 +184,7 @@ class TestTransport:
         det = complex(*data["det"])
         assert abs(abs(det) - 1) < 1e-6
         assert data["det_consistency"] < 1e-6
+        assert data["trace_converged"] is True
         assert data["steps"] > 0 and data["rejects"] >= 0
         code, data = run_cli(capsys, "transport", "--path", str(path_file),
                              "--tol", "1e-8")

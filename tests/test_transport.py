@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kummer_pf.pfaffian import rank5_system
+from kummer_pf.pfaffian import rank5_system, rank6_system
 from kummer_pf.transport import (
     CircleSegment,
     ClearanceError,
@@ -36,6 +36,15 @@ def sys5():
 @pytest.fixture(scope="module")
 def conn(sys5):
     return CompiledConnection(sys5)
+
+
+# the p2 system's denominators carry d1, the q2 system's e1; rank 6 has n = 6
+OTHER_SYSTEMS = {"q2": lambda: rank5_system("q2"), "rank6": rank6_system}
+
+
+@pytest.fixture(scope="module")
+def systems(sys5):
+    return {"p2": sys5, **{name: derive() for name, derive in OTHER_SYSTEMS.items()}}
 
 
 class TestPaths:
@@ -84,15 +93,20 @@ RATIONAL_POINTS = [
 
 
 class TestCompiledConnection:
-    @pytest.mark.parametrize("point", RATIONAL_POINTS)
-    def test_matches_exact_evaluation(self, conn, sys5, point):
+    # the p2 cases keep their plain ids
+    @pytest.mark.parametrize("name, point", [
+        pytest.param(name, point, id=f"{name}-point{k}" if name != "p2" else f"point{k}")
+        for name in ("p2", *OTHER_SYSTEMS) for k, point in enumerate(RATIONAL_POINTS)])
+    def test_matches_exact_evaluation(self, systems, name, point):
         # directional along e_x is M_x; each entry against exact arithmetic
+        system = systems[name]
+        compiled = CompiledConnection(system)
         fpoint = tuple(float(x) for x in point)
         for k, var in enumerate("pqr"):
             unit = tuple(1.0 if i == k else 0.0 for i in range(3))
             exact = np.array([[float(f.evaluate_exact(point)) for f in row]
-                              for row in sys5.matrix(var)])
-            np.testing.assert_allclose(conn.directional(fpoint, unit), exact,
+                              for row in system.matrix(var)])
+            np.testing.assert_allclose(compiled.directional(fpoint, unit), exact,
                                        rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("point", RATIONAL_POINTS)
@@ -101,6 +115,24 @@ class TestCompiledConnection:
         velocity = (0.3 - 0.1j, 1.2, 0.7j)
         trace = np.trace(conn.directional(fpoint, velocity))
         assert abs(conn.trace_directional(fpoint, velocity) - trace) <= 1e-12 * abs(trace)
+
+    def test_batched_trace_is_trace_per_point(self, conn):
+        points = [tuple(float(x) for x in point) for point in RATIONAL_POINTS]
+        points.append((0.3 + 0.01j, 0.2 - 0.02j, 0.1 + 0.005j))
+        velocities = [(0.3 - 0.1j, 1.2, 0.7j), (1j, -0.5, 0.25 + 0.25j),
+                      (0.0, 2.0 - 1j, -0.3), (0.1j, 0.2j, 1.0)]
+        traces = conn.trace_directional(points, velocities)
+        assert traces.shape == (len(points),)
+        for point, velocity, got in zip(points, velocities, traces):
+            trace = np.trace(conn.directional(point, velocity))
+            assert abs(got - trace) <= 1e-12 * abs(trace)
+
+    def test_batch_with_a_pole_raises(self, conn):
+        # one exact d1 root among generic points; the error names that point
+        pole = (0.5, 1 / 3, math.sqrt(7) / 54)
+        points = [(0.3, 0.2, 0.1), pole, (0.35, 0.25, 0.12)]
+        with pytest.raises(TransportError, match=f"pole hit at .*{pole[2]:.6f}"):
+            conn.trace_directional(points, [(0.0, 0.0, 1.0)] * 3)
 
     # r = 0 is a pole of M_r; on p = 1/2, q = 1/3, d1 = r (7/36 - 81 r^2)
     @pytest.mark.parametrize("r", [0.0, math.sqrt(7) / 54, -math.sqrt(7) / 54],
@@ -204,6 +236,20 @@ class TestMonodromy:
         assert (loop_result.step_count, loop_result.rejects) == (
             result.step_count, result.rejects)
 
+    # The second circle's quadrature settles; the first's last two
+    # refinements differ by about 5e-12 relative, above the stopping test,
+    # though its value (i*pi) is right and its Liouville defect small.
+    @pytest.mark.parametrize("p, q, r, converged", [
+        (0.5689, 0.3789, 0.00968, False),
+        (0.43, 0.38, 0.0125, True),
+    ], ids=["unsettled", "settled"])
+    def test_trace_convergence_reported(self, conn, p, q, r, converged):
+        loop = Path((CircleSegment(coordinate="r", center=0j, radius=r, turns=1.0,
+                                   fixed={"p": p + 0j, "q": q + 0j}),))
+        result = monodromy(conn, loop, tol=1e-8)
+        assert result.trace_converged is converged
+        assert result.det_consistency < 1e-6
+
     def test_inverse_loop_gives_inverse(self, conn):
         loop = Path((CircleSegment(coordinate="r", center=0j, radius=0.01, turns=1.0,
                                    fixed={"p": 0.5 + 0j, "q": 1 / 3 + 0j}),))
@@ -221,7 +267,9 @@ class TestMonodromy:
         # open paths as well
         path = Path((LineSegment((0.3, 0.2, 0.1), (0.35, 0.22, 0.13)),))
         m = transport(conn, path, tol=1e-11).fundamental_matrix
-        expected = np.exp(trace_integral(conn, path))
+        integral, converged = trace_integral(conn, path)
+        assert converged
+        expected = np.exp(integral)
         assert abs(np.linalg.det(m) - expected) / abs(expected) < 1e-6
 
 
