@@ -63,7 +63,6 @@ from .polynomials import (
 )
 from .series import (
     TruncatedSeries,
-    evaluate_series,
     period_coefficient,
     period_series,
     residue_oracle,

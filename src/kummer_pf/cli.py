@@ -49,7 +49,7 @@ from .geometry import (
     singular_divisor_membership,
 )
 from .polynomials import format_rational
-from .series import period_coefficient, period_series, residue_oracle
+from .series import period_coefficient, residue_oracle
 from .transport import (
     CompiledConnection,
     Path,
@@ -104,16 +104,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_annihilate(args) -> int:
-    through = args.cap - DEGREE_MARGIN
-    u = period_series(args.cap)
-    system = build_canonical_system()
-    results = []
-    ok = True
-    for name, op in zip(system.names, system.operators):
-        good = op.apply(u).is_zero_through(through)
-        ok = ok and good
-        results.append({"operator": name, "max_degree_checked": through,
-                        "annihilates": good})
+    ok, detail = checks.annihilation(checks.CheckContext(cap=args.cap))
+    results = [{"operator": name, "max_degree_checked": detail["checked_through_degree"],
+                "annihilates": name not in detail["failures"]}
+               for name in build_canonical_system().names]
     _emit({"cap": args.cap, "margin": DEGREE_MARGIN, "results": results})
     return 0 if ok else 1
 

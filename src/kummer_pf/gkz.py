@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .operators import ThetaOperator
+from .operators import TP, TQ, TR, ThetaOperator
 from .polynomials import MultiPoly, TuplePoly
 
 NVARS = 7
@@ -190,22 +190,19 @@ class SubstitutionTable:
     c-exponent vectors of p, q, r used to rewrite kernel monomials."""
 
     pqr_in_c: tuple[tuple[int, ...], ...]
-    theta_images: tuple[TuplePoly, ...]  # length 7, each a TuplePoly in (tp, tq, tr)
+    theta_images: tuple[MultiPoly, ...]  # length 7, each a MultiPoly in (tp, tq, tr)
 
 
 def standard_substitution() -> SubstitutionTable:
-    tp = TuplePoly.variable(3, 0)
-    tq = TuplePoly.variable(3, 1)
-    tr = TuplePoly.variable(3, 2)
-    weight = tp + 2 * tq + 3 * tr
+    weight = TP + 2 * TQ + 3 * TR
     images = (
         weight,                                   # theta_1
         -(weight + Fraction(1, 2)),               # theta_2
         -(weight + Fraction(1, 2)),               # theta_3
-        tq + 2 * tr,                              # theta_4
-        tp,                                       # theta_5
-        tq,                                       # theta_6
-        tr,                                       # theta_7
+        TQ + 2 * TR,                              # theta_4
+        TP,                                       # theta_5
+        TQ,                                       # theta_6
+        TR,                                       # theta_7
     )
     return SubstitutionTable(pqr_in_c=PQR_EXPONENTS, theta_images=images)
 
@@ -225,7 +222,7 @@ def verify_euler_elimination(table: SubstitutionTable | None = None) -> bool:
     confirm each collapses to zero identically.  Nonzero is a hard failure."""
     table = table or standard_substitution()
     for coeffs, const in EULER_RELATIONS:
-        acc = TuplePoly.constant(3, const)
+        acc = MultiPoly.constant(const)
         for j, cj in enumerate(coeffs):
             if cj:
                 acc = acc + cj * table.theta_images[j]
@@ -234,14 +231,13 @@ def verify_euler_elimination(table: SubstitutionTable | None = None) -> bool:
     return True
 
 
-def _substitute_sevens(tpoly: TuplePoly, table: SubstitutionTable) -> TuplePoly:
+def _substitute_sevens(tpoly: TuplePoly, table: SubstitutionTable) -> MultiPoly:
     """Map a polynomial in the seven thetas to one in (tp, tq, tr)."""
-    result = TuplePoly(3)
+    result = MultiPoly.zero()
     for exps, coeff in tpoly.terms.items():
-        term = TuplePoly.constant(3, coeff)
-        for j, e in enumerate(exps):
-            for _ in range(e):
-                term = term * table.theta_images[j]
+        term = MultiPoly.constant(coeff)
+        for image, e in zip(table.theta_images, exps):
+            term = term * image**e
         result = result + term
     return result
 

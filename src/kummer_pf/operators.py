@@ -12,14 +12,16 @@ monomials.  The Euler operators commute with each other and satisfy
 
 which is the only commutation rule composition ever needs.  On a monomial
 p^l q^m r^n the operator acts diagonally through (l, m, n), which is how
-``apply`` pushes operators onto truncated series.
+``apply`` pushes operators onto truncated series.  Polynomials in the
+commuting thetas are ``MultiPoly`` values in the variables ``TP``, ``TQ``
+and ``TR`` (the p, q and r slots stand for tp, tq and tr).
 
 ``build_canonical_system`` writes down, as annihilators (LHS - RHS), the
 four second-order equations obtained from the toric reduction plus the one
 extra second-order equation that cuts the solution space from rank six to
-rank five.  ``coefficient_identity`` expands the quintic polynomial in
+rank five.  ``coefficient_identity`` is the quintic polynomial in
 (l, m, n) whose vanishing is equivalent to the extra equation killing the
-period series, and certifies it is identically zero.
+period series; ``identity_check`` certifies it is identically zero.
 """
 
 from __future__ import annotations
@@ -28,10 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .polynomials import MultiPoly, TuplePoly
+from .polynomials import MultiPoly
 from .series import TruncatedSeries
 
 ThetaExps = tuple[int, int, int]
+
+# The three commuting Euler operators tp, tq, tr as polynomial variables.
+TP = MultiPoly.variable("p")
+TQ = MultiPoly.variable("q")
+TR = MultiPoly.variable("r")
 
 # Degree-safety margin for annihilation checks on truncated series: the
 # largest monomial multiplier in the canonical system (p^2 q, p^2 r) has
@@ -69,14 +76,11 @@ class ThetaOperator:
         return cls({theta_exps: coeff})
 
     @classmethod
-    def from_theta_poly(cls, tpoly: TuplePoly, coeff: MultiPoly | int | Fraction = 1) -> ThetaOperator:
+    def from_theta_poly(cls, tpoly: MultiPoly, coeff: MultiPoly | int | Fraction = 1) -> ThetaOperator:
         """Attach a polynomial coefficient to a polynomial in the commuting thetas."""
         if not isinstance(coeff, MultiPoly):
             coeff = MultiPoly.constant(coeff)
-        terms = {}
-        for exps, c in tpoly.terms.items():
-            terms[tuple(exps)] = coeff * c
-        return cls(terms)
+        return cls({exps: coeff * c for exps, c in tpoly.terms()})
 
     # -- queries -----------------------------------------------------------
 
@@ -129,13 +133,11 @@ class ThetaOperator:
         """
         out: dict[ThetaExps, MultiPoly] = {}
         for (a1, a2, a3), ca in self.terms.items():
-            for (b1, b2, b3), cb in other.terms.items():
+            for b, cb in other.terms.items():
                 for (i, j, k), q in cb.terms():
-                    shifted = _shifted_theta_poly((a1, a2, a3), (i, j, k))
-                    mono = MultiPoly.monomial((i, j, k), q)
-                    front = ca * mono
-                    for t_exps, t_coeff in shifted.items():
-                        exps = (t_exps[0] + b1, t_exps[1] + b2, t_exps[2] + b3)
+                    shifted = (TP + i) ** a1 * (TQ + j) ** a2 * (TR + k) ** a3
+                    front = ca * MultiPoly.monomial((i, j, k), q)
+                    for exps, t_coeff in shifted.shift(b).terms():
                         contrib = front * t_coeff
                         s = out.get(exps)
                         out[exps] = contrib if s is None else s + contrib
@@ -143,7 +145,7 @@ class ThetaOperator:
 
     def apply(self, s: TruncatedSeries) -> TruncatedSeries:
         """Exact image of a truncated series, truncated at its cap."""
-        result = TruncatedSeries.zero(s.degree_cap)
+        result = TruncatedSeries(s.degree_cap)
         for theta_exps, coeff in self.terms.items():
             result = result + s.theta_scale(theta_exps).multiply_poly(coeff)
         return result
@@ -172,49 +174,6 @@ class ThetaOperator:
             )
             parts.append(f"({coeff}){mono}")
         return "ThetaOperator[" + " + ".join(parts or ["0"]) + "]"
-
-
-def _shifted_theta_poly(theta_exps: ThetaExps, shifts: ThetaExps) -> dict[ThetaExps, Fraction]:
-    """Expand (tp+i)^a (tq+j)^b (tr+k)^c into theta monomials."""
-    out: dict[ThetaExps, Fraction] = {(0, 0, 0): Fraction(1)}
-    for axis, (power, shift) in enumerate(zip(theta_exps, shifts)):
-        if power == 0:
-            continue
-        binom = _binomial_expansion(power, shift)
-        new: dict[ThetaExps, Fraction] = {}
-        for exps, c in out.items():
-            for e, bc in binom.items():
-                key = list(exps)
-                key[axis] += e
-                key = tuple(key)
-                s = new.get(key, Fraction(0)) + c * bc
-                if s:
-                    new[key] = s
-        out = new
-    return out
-
-
-def _binomial_expansion(power: int, shift: int) -> dict[int, Fraction]:
-    """(x + shift)^power as {exponent: coefficient}."""
-    coeffs = {0: Fraction(1)}
-    for _ in range(power):
-        new: dict[int, Fraction] = {}
-        for e, c in coeffs.items():
-            new[e + 1] = new.get(e + 1, Fraction(0)) + c
-            if shift:
-                new[e] = new.get(e, Fraction(0)) + c * shift
-        coeffs = new
-    return {e: c for e, c in coeffs.items() if c}
-
-
-# -- theta-polynomial building blocks ----------------------------------------
-#
-# Intermediate symbolic expressions in the three commuting thetas are plain
-# 3-variable TuplePolys: slot 0 = tp, slot 1 = tq, slot 2 = tr.
-
-TP = TuplePoly.variable(3, 0)
-TQ = TuplePoly.variable(3, 1)
-TR = TuplePoly.variable(3, 2)
 
 
 @dataclass(frozen=True)
@@ -277,31 +236,10 @@ def build_canonical_system() -> CanonicalSystem:
     )
 
 
-def coefficient_identity_poly() -> TuplePoly:
+def coefficient_identity(l, m, n):
     """The quintic in (l, m, n) that the extra equation pushes onto the
-    period coefficients; identically zero.
-
-    9(2n-1)(m+2n-2)(l+2m+3n-4) - (2l+4m+6n-9)^2 (2m+3n-3)
-    - (2l+4m+6n-9)^2 (l-1) + 4(l-1)(l+2m+3n-4)(l+4m+6n-8)
-    + (m-1)(l+2m+3n-4)(16m+30n-31)
-    """
-    l = TuplePoly.variable(3, 0)
-    m = TuplePoly.variable(3, 1)
-    n = TuplePoly.variable(3, 2)
-    s4 = l + 2 * m + 3 * n - 4
-    twice9 = 2 * l + 4 * m + 6 * n - 9
-    return (
-        9 * (2 * n - 1) * (m + 2 * n - 2) * s4
-        - twice9 * twice9 * (2 * m + 3 * n - 3)
-        - twice9 * twice9 * (l - 1)
-        + 4 * (l - 1) * s4 * (l + 4 * m + 6 * n - 8)
-        + (m - 1) * s4 * (16 * m + 30 * n - 31)
-    )
-
-
-def coefficient_identity_value(l: int, m: int, n: int) -> int:
-    """Evaluate the five products numerically, term by term (independent of
-    the symbolic expansion route)."""
+    period coefficients, for any commutative ring elements; identically
+    zero."""
     s4 = l + 2 * m + 3 * n - 4
     t9 = 2 * l + 4 * m + 6 * n - 9
     return (
@@ -314,14 +252,15 @@ def coefficient_identity_value(l: int, m: int, n: int) -> int:
 
 
 def identity_check(spot_points: Sequence[tuple[int, int, int]] = ()) -> bool:
-    """Certify the coefficient identity: full symbolic expansion is the zero
-    polynomial, plus numeric spot checks computed term by term.  Nonzero is
-    a hard failure."""
-    expansion = coefficient_identity_poly()
+    """Certify the coefficient identity: its full symbolic expansion in
+    MultiPoly is the zero polynomial, and the same formula evaluated in
+    plain int arithmetic vanishes at every spot point.  Nonzero is a hard
+    failure."""
+    expansion = coefficient_identity(TP, TQ, TR)
     if not expansion.is_zero:
         raise AssertionError(f"coefficient identity expansion is nonzero: {expansion!r}")
     for pt in spot_points:
-        value = coefficient_identity_value(*pt)
+        value = coefficient_identity(*pt)
         if value != 0:
             raise AssertionError(f"coefficient identity nonzero at {pt}: {value}")
     return True

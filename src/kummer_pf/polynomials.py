@@ -17,9 +17,13 @@ module: rationals as ``n/d`` (or ``n``), polynomials as ``c * p^a q^b r^c``
 terms joined by `` + `` in ascending lexicographic order on
 (e_p, e_q, e_r), rational functions as ``(num)/(den)``.
 
-``TuplePoly`` is a small generic n-variable polynomial used for one-off
-symbolic identities in other variable sets (theta symbols, lambda
-parameters, adjoined scale variables); it is deliberately minimal.
+``MultiPoly`` is also the one exact kernel for every other 3-variable
+polynomial: truncated power series (a degree cap plus a ``MultiPoly``) and
+polynomials in the three commuting Euler operators.  ``TuplePoly`` is a
+small generic n-variable polynomial kept for the identities in 4, 5 and 7
+variables (the discriminant factorization, the homogeneity witness, the
+toric box operators) and for the symbolic lambda map; it is deliberately
+minimal.
 """
 
 from __future__ import annotations
@@ -352,6 +356,25 @@ class MultiPoly:
         if me[0] < exps[0] or me[1] < exps[1] or me[2] < exps[2]:
             raise ValueError("inexact monomial division")
         return MultiPoly({k - off: c for k, c in self._terms.items()}, self._den, _validated=True)
+
+    def truncated(self, cap: int) -> MultiPoly:
+        """The terms of total degree at most cap."""
+        kept = {k: c for k, c in self._terms.items() if sum(_unpack(k)) <= cap}
+        if len(kept) == len(self._terms):
+            return self
+        return MultiPoly(kept, self._den)
+
+    def theta_scaled(self, theta_exps: Exponents) -> MultiPoly:
+        """The Euler action tp^a tq^b tr^c: each term p^l q^m r^n scales by
+        l^a m^b n^c."""
+        a, b, c = theta_exps
+        out: dict[int, int] = {}
+        for k, v in self._terms.items():
+            l, m, n = _unpack(k)
+            factor = l**a * m**b * n**c
+            if factor:
+                out[k] = v * factor
+        return MultiPoly(out, self._den)
 
     def exact_div(self, divisor: MultiPoly) -> MultiPoly:
         """Exact polynomial division; raises ValueError on a nonzero remainder."""
@@ -979,9 +1002,9 @@ _RF_ONE = RatFunc(_ONE, _ONE, _reduced=True)
 class TuplePoly:
     """Minimal n-variable polynomial over Q, dict keyed by exponent tuples.
 
-    Used for symbolic identities outside the (p, q, r) ring: theta symbols,
-    lambda parameters, adjoined homogeneity scales.  Supports just enough
-    arithmetic for identity checking.
+    Used for symbolic identities outside the (p, q, r) ring: the seven
+    toric thetas, lambda parameters, adjoined homogeneity scales.  Supports
+    just enough arithmetic for identity checking.
     """
 
     __slots__ = ("nvars", "terms")

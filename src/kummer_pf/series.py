@@ -15,8 +15,10 @@ repeated multiplication, and pick out the t^0 part (the residue of dt/t).
 The only shared ingredient between the two routes is exact rational
 arithmetic, so agreement is a genuine cross-check of the closed form.
 
-``TruncatedSeries`` holds exact power series in (p, q, r) truncated at a
-total degree cap; every operator in this package acts on these.
+``TruncatedSeries`` holds an exact power series in (p, q, r) as a total
+degree cap plus one ``MultiPoly``; its products and the Euler action are
+``MultiPoly`` arithmetic, truncated at the cap.  Every operator in this
+package acts on these.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
-from .polynomials import MultiPoly, format_rational
+from .polynomials import MultiPoly
 
 Index = tuple[int, int, int]
 
@@ -88,127 +89,48 @@ def residue_oracle(index: Index) -> Fraction:
         c = _laurent_power(big_n).get((0, l, m, n))
         if c:
             total += _gauss_factor(big_n) * c
-    # normalize so the value at the origin is 1 (the N=0 term is already 1,
-    # so this is the identity; kept for the normalization contract)
-    origin = _gauss_factor(0)
-    return total / origin
+    return total
 
 
 class TruncatedSeries:
-    """Exact power series in (p, q, r) truncated at a total degree cap."""
+    """Exact power series in (p, q, r): a ``MultiPoly`` with every term of
+    total degree above ``degree_cap`` dropped."""
 
-    __slots__ = ("degree_cap", "terms")
+    __slots__ = ("degree_cap", "poly")
 
-    def __init__(self, degree_cap: int, terms: dict[Index, Fraction] | None = None):
+    def __init__(self, degree_cap: int, poly: MultiPoly = MultiPoly.zero()):
         if degree_cap < 0:
             raise ValueError("negative degree cap")
         self.degree_cap = degree_cap
-        self.terms: dict[Index, Fraction] = {}
-        for idx, c in (terms or {}).items():
-            if sum(idx) <= degree_cap and c != 0:
-                self.terms[idx] = Fraction(c)
-
-    @classmethod
-    def zero(cls, degree_cap: int) -> TruncatedSeries:
-        return cls(degree_cap)
-
-    @classmethod
-    def one(cls, degree_cap: int) -> TruncatedSeries:
-        return cls(degree_cap, {(0, 0, 0): Fraction(1)})
+        self.poly = poly.truncated(degree_cap)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, index: Index) -> Fraction:
-        return self.terms.get(index, Fraction(0))
-
-    def items(self) -> Iterator[tuple[Index, Fraction]]:
-        for idx in sorted(self.terms):
-            yield idx, self.terms[idx]
+        return self.poly.is_zero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.degree_cap == other.degree_cap and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.degree_cap, frozenset(self.terms.items())))
+        return self.degree_cap == other.degree_cap and self.poly == other.poly
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_cap(other)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = out.get(idx, Fraction(0)) + c
-            if s:
-                out[idx] = s
-            else:
-                del out[idx]
-        return TruncatedSeries(self.degree_cap, out)
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.degree_cap, {i: -c for i, c in self.terms.items()})
+        return TruncatedSeries(self.degree_cap, self.poly + other.poly)
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self + (-other)
-
-    def __mul__(self, other) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                return TruncatedSeries(self.degree_cap)
-            return TruncatedSeries(
-                self.degree_cap, {i: c * other for i, c in self.terms.items()})
-        if isinstance(other, TruncatedSeries):
-            self._check_cap(other)
-            cap = self.degree_cap
-            out: dict[Index, Fraction] = {}
-            for i1, c1 in self.terms.items():
-                d1 = sum(i1)
-                for i2, c2 in other.terms.items():
-                    if d1 + sum(i2) > cap:
-                        continue
-                    idx = (i1[0] + i2[0], i1[1] + i2[1], i1[2] + i2[2])
-                    s = out.get(idx, Fraction(0)) + c1 * c2
-                    if s:
-                        out[idx] = s
-                    else:
-                        del out[idx]
-            return TruncatedSeries(cap, out)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale_by_monomial(self, exps: Index, coeff: Fraction | int = 1) -> TruncatedSeries:
-        """Multiply by coeff * p^a q^b r^c, truncating at the cap."""
-        coeff = Fraction(coeff)
-        cap = self.degree_cap
-        shift = sum(exps)
-        out: dict[Index, Fraction] = {}
-        for idx, c in self.terms.items():
-            if sum(idx) + shift <= cap:
-                out[(idx[0] + exps[0], idx[1] + exps[1], idx[2] + exps[2])] = c * coeff
-        return TruncatedSeries(cap, out)
+        self._check_cap(other)
+        return TruncatedSeries(self.degree_cap, self.poly - other.poly)
 
     def multiply_poly(self, poly: MultiPoly) -> TruncatedSeries:
         """Multiply by an exact polynomial, truncating at the cap."""
-        result = TruncatedSeries(self.degree_cap)
-        for exps, coeff in poly.terms():
-            result = result + self.scale_by_monomial(exps, coeff)
-        return result
+        return TruncatedSeries(self.degree_cap, self.poly * poly)
 
     def theta_scale(self, theta_exps: Index) -> TruncatedSeries:
         """Apply the diagonal Euler action: term (l,m,n) scales by l^a m^b n^c."""
-        a, b, c = theta_exps
-        out: dict[Index, Fraction] = {}
-        for (l, m, n), v in self.terms.items():
-            factor = l**a * m**b * n**c
-            if factor:
-                out[(l, m, n)] = v * factor
-        return TruncatedSeries(self.degree_cap, out)
+        return TruncatedSeries(self.degree_cap, self.poly.theta_scaled(theta_exps))
 
     def is_zero_through(self, degree: int) -> bool:
-        return all(sum(i) > degree for i in self.terms)
+        return self.poly.truncated(degree).is_zero
 
     def _check_cap(self, other: TruncatedSeries) -> None:
         if self.degree_cap != other.degree_cap:
@@ -216,7 +138,8 @@ class TruncatedSeries:
                 f"degree cap mismatch: {self.degree_cap} vs {other.degree_cap}")
 
     def evaluate(self, point: tuple[complex, complex, complex]) -> tuple[complex, float]:
-        """Evaluate by ascending total-degree layers.
+        """Evaluate by ascending total-degree layers, adding terms in
+        ascending lex order.
 
         Returns (value, tail proxy), the tail proxy being the sum of term
         magnitudes in the top degree layer actually present.
@@ -224,7 +147,7 @@ class TruncatedSeries:
         layers: dict[int, complex] = {}
         tail_layer: dict[int, float] = {}
         pv, qv, rv = point
-        for (l, m, n), c in self.terms.items():
+        for (l, m, n), c in self.poly.terms():
             d = l + m + n
             val = complex(c) * pv**l * qv**m * rv**n
             layers[d] = layers.get(d, 0j) + val
@@ -236,19 +159,6 @@ class TruncatedSeries:
             tail = 0.0
         return value, tail
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"index": list(idx), "value": format_rational(c)}
-            for idx, c in self.items()
-        ]
-
-    def __repr__(self) -> str:
-        head = ", ".join(
-            f"{idx}: {c}" for idx, c in list(self.items())[:4]
-        )
-        more = "..." if len(self.terms) > 4 else ""
-        return f"TruncatedSeries(cap={self.degree_cap}, {{{head}{more}}})"
-
 
 def period_series(degree_cap: int) -> TruncatedSeries:
     """All period coefficients up to the total degree cap."""
@@ -257,13 +167,4 @@ def period_series(degree_cap: int) -> TruncatedSeries:
         for m in range(degree_cap + 1 - l):
             for n in range(degree_cap + 1 - l - m):
                 terms[(l, m, n)] = period_coefficient((l, m, n))
-    return TruncatedSeries(degree_cap, terms)
-
-
-def evaluate_series(s: TruncatedSeries, point: tuple[complex, complex, complex],
-                    tail_tol: float | None = None) -> tuple[complex, float]:
-    """Evaluate with a tail estimate; optionally enforce a tolerance."""
-    value, tail = s.evaluate(point)
-    if tail_tol is not None and tail > tail_tol:
-        raise ValueError(f"truncation tail {tail:.3e} exceeds tolerance {tail_tol:.3e}")
-    return value, tail
+    return TruncatedSeries(degree_cap, MultiPoly.from_terms(terms))

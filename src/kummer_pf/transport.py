@@ -29,7 +29,7 @@ import numpy as np
 
 from .geometry import divisor_clearance
 from .pfaffian import PfaffianSystem
-from .series import TruncatedSeries, evaluate_series, period_series
+from .series import TruncatedSeries, period_series
 
 Point = tuple[complex, complex, complex]
 
@@ -463,8 +463,7 @@ def initial_state(system: PfaffianSystem, point: Point, cap: int = 16,
     u = u or period_series(cap)
     values = []
     for w in system.basis:
-        image = u.theta_scale(w)
-        val, tail = evaluate_series(image, point)
+        val, tail = u.theta_scale(w).evaluate(point)
         if tail > tail_tol:
             raise ValueError(
                 f"series tail {tail:.3e} above tolerance {tail_tol:.3e} for basis {w}")

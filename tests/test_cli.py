@@ -1,10 +1,17 @@
 """CLI surface: every subcommand, JSON schemas, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from kummer_pf.cli import _Runner, main
+
+# The seed-0 verify-all report with runtime_s removed, as the reproduction
+# produced it before the series moved onto MultiPoly.
+SEED0_REPORT = Path(__file__).parent / "data" / "verify_all_seed0.json"
+# Transport floats may move at rounding level; every other value is exact.
+TRANSPORT_FLOAT_TOL = 1e-11
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +166,18 @@ class TestVerifyAll:
         assert all(c["status"] in ("pass", "reported-diff") for c in data["checks"])
         assert (tmp_path / "rank5.json").exists()
         assert out.exists()
+        # Later checks and detail keys may be added; the recorded ones stay.
+        reference = json.loads(SEED0_REPORT.read_text(encoding="utf-8"))
+        for key in ("ok", "seed", "cap", "tol"):
+            assert data[key] == reference[key], key
+        for got, want in zip(data["checks"], reference["checks"]):
+            assert (got["name"], got["status"], got["hard"]) == (
+                want["name"], want["status"], want["hard"])
+            for key, value in want["detail"].items():
+                if want["name"] == "transport-consistency":
+                    assert abs(got["detail"][key] - value) <= TRANSPORT_FLOAT_TOL, key
+                else:
+                    assert got["detail"][key] == value, (want["name"], key)
 
     def test_reduced_cap_notes_coverage(self, capsys):
         code, data = run_cli(capsys, "verify-all", "--cap", "6")

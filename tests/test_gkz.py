@@ -18,7 +18,7 @@ from kummer_pf.gkz import (
     verify_euler_elimination,
 )
 from kummer_pf.operators import build_canonical_system
-from kummer_pf.polynomials import TuplePoly
+from kummer_pf.polynomials import MultiPoly, TuplePoly
 from kummer_pf.series import period_series
 
 
@@ -107,7 +107,7 @@ class TestSubstitution:
     def test_relation_four_expansion(self):
         # 2*theta2 + 3*theta4 + 2*theta5 + theta6 + 1 -> 0
         t = standard_substitution().theta_images
-        acc = 2 * t[1] + 3 * t[3] + 2 * t[4] + t[5] + TuplePoly.constant(3, 1)
+        acc = 2 * t[1] + 3 * t[3] + 2 * t[4] + t[5] + MultiPoly.constant(1)
         assert acc.is_zero
 
 

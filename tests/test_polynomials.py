@@ -295,6 +295,45 @@ class TestExactDivision:
         assert (a * b).exact_div(b) == a
 
 
+class TestSeriesKernel:
+    """The two operations truncated series are built from."""
+
+    def test_truncated(self):
+        f = 1 + P + Q * R + P**2 * Q + R**4
+        assert f.truncated(2) == 1 + P + Q * R
+        assert f.truncated(0) == ONE
+        assert f.truncated(4) == f
+        assert MultiPoly.zero().truncated(3).is_zero
+
+    @given(polys, st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_truncated_keeps_exactly_the_low_terms(self, f, cap):
+        assert dict(f.truncated(cap).terms()) == {
+            exps: c for exps, c in f.terms() if sum(exps) <= cap}
+
+    def test_theta_scaled(self):
+        f = 3 * P**2 * Q * R + P * Q - 5 * R**2
+        # tp^2 tr: 2^2 * 1 on p^2 q r; p q has no r and r^2 has no p
+        assert f.theta_scaled((2, 0, 1)) == 12 * P**2 * Q * R
+        assert f.theta_scaled((0, 1, 0)) == 3 * P**2 * Q * R + P * Q
+        assert f.theta_scaled((0, 0, 2)) == 3 * P**2 * Q * R - 20 * R**2
+
+    @given(polys)
+    @settings(max_examples=40, deadline=None)
+    def test_theta_scaled_zero_is_identity(self, f):
+        assert f.theta_scaled((0, 0, 0)) == f
+
+    @given(polys, st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_theta_scaled_is_euler_operator(self, f, theta_exps):
+        # tx = x d/dx, applied theta_exps[i] times in each variable
+        expected = f
+        for var, x, power in zip("pqr", (P, Q, R), theta_exps):
+            for _ in range(power):
+                expected = x * expected.derivative(var)
+        assert f.theta_scaled(theta_exps) == expected
+
+
 class TestTuplePoly:
     def test_basic_identity(self):
         x = TuplePoly.variable(2, 0)

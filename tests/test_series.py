@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kummer_pf.polynomials import MultiPoly
 from kummer_pf.series import (
     TruncatedSeries,
-    evaluate_series,
     period_coefficient,
     period_series,
     residue_oracle,
@@ -68,12 +67,12 @@ class TestResidueOracle:
 class TestPeriodSeries:
     def test_cap_zero(self):
         s = period_series(0)
-        assert s.terms == {(0, 0, 0): Fraction(1)}
+        assert dict(s.poly.terms()) == {(0, 0, 0): Fraction(1)}
 
     def test_cap_one(self):
         # plain total degree: all three linear terms are present at cap 1
         s = period_series(1)
-        assert s.terms == {
+        assert dict(s.poly.terms()) == {
             (0, 0, 0): Fraction(1),
             (1, 0, 0): Fraction(1, 4),
             (0, 1, 0): Fraction(9, 32),
@@ -82,86 +81,83 @@ class TestPeriodSeries:
 
     def test_cap_two_spot_values(self):
         s = period_series(2)
-        assert set(s.terms) == {
+        assert {exps for exps, _ in s.poly.terms()} == {
             (l, m, n)
             for l in range(3) for m in range(3) for n in range(3)
             if l + m + n <= 2
         }
-        assert s.coefficient((1, 0, 0)) == Fraction(1, 4)
-        assert s.coefficient((2, 0, 0)) == Fraction(9, 64)
-        assert s.coefficient((0, 1, 0)) == Fraction(9, 32)
+        assert s.poly.coefficient((1, 0, 0)) == Fraction(1, 4)
+        assert s.poly.coefficient((2, 0, 0)) == Fraction(9, 64)
+        assert s.poly.coefficient((0, 1, 0)) == Fraction(9, 32)
+
+
+P = MultiPoly.variable("p")
+ONE = MultiPoly.one()
+coeffs = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), coeffs, max_size=6
+).map(MultiPoly.from_terms)
 
 
 class TestSeriesArith:
     def test_add_zero(self):
         s = period_series(4)
-        assert s + TruncatedSeries.zero(4) == s
+        assert s + TruncatedSeries(4) == s
 
     def test_monomial_shift(self):
-        one = TruncatedSeries.one(3)
-        shifted = one.scale_by_monomial((1, 2, 0))
-        assert shifted.terms == {(1, 2, 0): Fraction(1)}
+        one = TruncatedSeries(3, ONE)
+        shifted = one.multiply_poly(MultiPoly.monomial((1, 2, 0)))
+        assert shifted.poly == MultiPoly.monomial((1, 2, 0))
         # cap too small: the shift truncates to zero
-        assert TruncatedSeries.one(2).scale_by_monomial((1, 2, 0)).is_zero
-        scaled = one.scale_by_monomial((1, 2, 0), Fraction(3, 4))
-        assert scaled.terms == {(1, 2, 0): Fraction(3, 4)}
+        assert TruncatedSeries(2, ONE).multiply_poly(MultiPoly.monomial((1, 2, 0))).is_zero
+        scaled = one.multiply_poly(MultiPoly.monomial((1, 2, 0), Fraction(3, 4)))
+        assert scaled.poly == MultiPoly.monomial((1, 2, 0), Fraction(3, 4))
 
     def test_product_truncation(self):
-        cap = 2
-        one_plus = TruncatedSeries(cap, {(0, 0, 0): 1, (1, 0, 0): 1})
-        one_minus = TruncatedSeries(cap, {(0, 0, 0): 1, (1, 0, 0): -1})
-        prod = one_plus * one_minus
-        assert prod.terms == {(0, 0, 0): Fraction(1), (2, 0, 0): Fraction(-1)}
+        # (1 + p)(1 - p): the p terms cancel, p^2 survives only within the cap
+        assert TruncatedSeries(2, 1 + P).multiply_poly(1 - P).poly == 1 - P * P
+        assert TruncatedSeries(1, 1 + P).multiply_poly(1 - P).poly == ONE
 
     def test_cap_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            TruncatedSeries.one(2) + TruncatedSeries.one(3)
+            TruncatedSeries(2, ONE) + TruncatedSeries(3, ONE)
 
-    @given(st.integers(2, 5))
-    @settings(max_examples=10, deadline=None)
-    def test_mul_agrees_with_untruncated(self, cap):
-        a = TruncatedSeries(cap, {(1, 0, 0): 2, (0, 1, 0): -3})
-        b = TruncatedSeries(cap, {(0, 0, 1): 1, (1, 0, 0): Fraction(1, 2)})
-        prod = a * b
-        pa = MultiPoly.from_terms(dict(a.terms))
-        pb = MultiPoly.from_terms(dict(b.terms))
-        full = pa * pb
+    @given(st.integers(0, 6), polys, polys)
+    @settings(max_examples=40, deadline=None)
+    def test_mul_agrees_with_untruncated(self, cap, a, b):
+        # the series drops a's terms above the cap before multiplying; the
+        # result must still equal the untruncated product, truncated
+        prod = TruncatedSeries(cap, a).multiply_poly(b)
+        full = a * b
         for exps, coeff in full.terms():
-            if sum(exps) <= cap:
-                assert prod.coefficient(exps) == coeff
-            else:
-                assert prod.coefficient(exps) == 0
+            assert prod.poly.coefficient(exps) == (coeff if sum(exps) <= cap else 0)
+        assert all(sum(exps) <= cap for exps, _ in prod.poly.terms())
 
     def test_multiply_poly(self):
         s = period_series(3)
         p2q = MultiPoly.from_terms({(2, 1, 0): 1})
         out = s.multiply_poly(p2q)
-        assert out.coefficient((2, 1, 0)) == 1
-        assert out.coefficient((3, 1, 0)) == 0  # beyond cap
+        assert out.poly.coefficient((2, 1, 0)) == 1
+        assert out.poly.coefficient((3, 1, 0)) == 0  # beyond cap
 
 
 class TestEvaluation:
     def test_constant(self):
-        val, tail = evaluate_series(TruncatedSeries.one(4), (0.3, 0.1, 0.2))
+        val, tail = TruncatedSeries(4, ONE).evaluate((0.3, 0.1, 0.2))
         assert val == 1
         assert tail == 0
 
     def test_two_terms(self):
-        s = TruncatedSeries(1, {(0, 0, 0): 1, (1, 0, 0): Fraction(1, 4)})
-        val, tail = evaluate_series(s, (0.01, 0, 0))
+        s = TruncatedSeries(1, 1 + Fraction(1, 4) * P)
+        val, tail = s.evaluate((0.01, 0, 0))
         assert val == pytest.approx(1.0025)
         assert tail == pytest.approx(0.0025)
 
     def test_tail_below_tolerance_at_small_point(self):
         s = period_series(20)
         pt = (1e-2, 1e-2, 1e-2)
-        val, tail = evaluate_series(s, pt)
+        val, tail = s.evaluate(pt)
         assert tail < 1e-20
         # compare against a higher cap: the tail proxy bounds the difference
-        val24, _ = evaluate_series(period_series(24), pt)
+        val24, _ = period_series(24).evaluate(pt)
         assert abs(val - val24) < 1e-20
-
-    def test_tolerance_enforced(self):
-        s = period_series(2)
-        with pytest.raises(ValueError):
-            evaluate_series(s, (0.9, 0.9, 0.9), tail_tol=1e-12)

@@ -157,6 +157,15 @@ class TestInitialState:
         # theta_q image vanishes identically on the q = 0 slice
         assert state[2] == 0
 
+    def test_floats_pinned(self, sys5):
+        # the series is summed term by term in ascending lex order; any
+        # change of that order or of the coefficients moves these bits
+        state = initial_state(sys5, (1e-3, 0.6e-3, 0.4e-3), cap=16)
+        assert state.tolist() == [
+            1.0005373688442556, 0.0002509974155433367, 0.00016972121810947206,
+            0.00011808752351730094, 0.0002512818118135685,
+        ]
+
     def test_tail_tolerance_enforced(self, sys5):
         with pytest.raises(ValueError):
             initial_state(sys5, (0.5, 0.5, 0.5), cap=6, tail_tol=1e-12)
