@@ -15,13 +15,12 @@ Runge-Kutta transport with monodromy.
 from .divisors import CANDIDATE_DIVISORS, D1, D2, D3, SINGULAR_DIVISORS
 from .gkz import (
     GENERATING_KERNEL_VECTORS,
+    THETA_IMAGES,
     GkzData,
-    KernelVector,
     box_operator,
     kernel_basis,
     kummer_gkz_data,
     reduce_to_pqr,
-    standard_substitution,
     verify_euler_elimination,
 )
 from .geometry import (

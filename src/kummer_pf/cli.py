@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import checks
+from .appendix import appendix_matrices
 from .gkz import (
     GENERATING_KERNEL_VECTORS,
     kernel_basis,
@@ -123,7 +124,7 @@ def cmd_gkz(args) -> int:
         out["operators"].append({"vector": list(vec), "matches": match,
                                  "operator": op.to_json()})
     basis = kernel_basis(kummer_gkz_data())
-    out["kernel_basis"] = [list(k.b) for k in basis]
+    out["kernel_basis"] = [list(k) for k in basis]
     out["lattice_contains_all"] = all(
         lattice_contains(basis, b) for b in GENERATING_KERNEL_VECTORS)
     _emit(out)
@@ -141,11 +142,12 @@ def cmd_pfaffian_derive(args) -> int:
                "undetermined": [list(m) for m in sorted(exc.undetermined)],
                "reason": str(exc)})
         return 1
+    payload = {"closed": True, "size": derived.size}
     if args.out:
         derived.save(args.out)
-    payload = {"closed": True, "size": derived.size, **derived.to_json()}
-    if args.out:
-        payload = {"closed": True, "size": derived.size, "written": args.out}
+        payload["written"] = args.out
+    else:
+        payload.update(derived.to_json())
     _emit(payload)
     return 0
 
@@ -174,9 +176,7 @@ def cmd_pfaffian_singular(args) -> int:
 
 def cmd_pfaffian_compare(args) -> int:
     system = PfaffianSystem.load(args.file)
-    # the fixture shares the system encoding; its matrices are theta-scaled
-    reference = PfaffianSystem.load(args.fixture)
-    diff = compare_fixture(system, {var: reference.matrix(var) for var in "pqr"})
+    diff = compare_fixture(system, appendix_matrices())
     _emit(diff.to_json())
     return 0
 
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=cmd_annihilate)
 
     g = sub.add_parser("gkz", help="derive the reduced operators from kernel vectors")
-    g.add_argument("--derive", action="store_true", default=True)
     g.set_defaults(fn=cmd_gkz)
 
     pf = sub.add_parser("pfaffian", help="connection derivation and checks")
@@ -331,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--allow-extra", action="store_true",
                     help="report non-candidate factors instead of failing")
     sg.set_defaults(fn=cmd_pfaffian_singular)
-    cp = pfsub.add_parser("compare")
+    cp = pfsub.add_parser("compare", help="compare with the reference matrix tables")
     cp.add_argument("file")
-    cp.add_argument("fixture")
     cp.set_defaults(fn=cmd_pfaffian_compare)
 
     pr = sub.add_parser("params", help="parameter maps and divisor membership")

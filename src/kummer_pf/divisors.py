@@ -13,30 +13,26 @@ it is an apparent singularity only.
 
 from __future__ import annotations
 
-from .polynomials import MultiPoly
-
-_P = MultiPoly.variable("p")
-_Q = MultiPoly.variable("q")
-_R = MultiPoly.variable("r")
+from .polynomials import MultiPoly, P, Q, R
 
 D1 = (
-    -(_Q**4) + 2 * _P * _Q**4 - 4 * _Q**2 * _R + 15 * _P * _Q**2 * _R
-    - 15 * _P**2 * _Q**2 * _R + 6 * _Q**3 * _R + 12 * _P * _R**2
-    - 36 * _P**2 * _R**2 + 24 * _P**3 * _R**2 - 81 * _R**3
+    -(Q**4) + 2 * P * Q**4 - 4 * Q**2 * R + 15 * P * Q**2 * R
+    - 15 * P**2 * Q**2 * R + 6 * Q**3 * R + 12 * P * R**2
+    - 36 * P**2 * R**2 + 24 * P**3 * R**2 - 81 * R**3
 )
 
 D2 = (
-    -(_Q**2) + 2 * _P * _Q**2 - _P**2 * _Q**2 + 4 * _Q**3 - 4 * _R
-    + 12 * _P * _R - 12 * _P**2 * _R + 4 * _P**3 * _R + 18 * _Q * _R
-    - 18 * _P * _Q * _R + 27 * _R**2
+    -(Q**2) + 2 * P * Q**2 - P**2 * Q**2 + 4 * Q**3 - 4 * R
+    + 12 * P * R - 12 * P**2 * R + 4 * P**3 * R + 18 * Q * R
+    - 18 * P * Q * R + 27 * R**2
 )
 
-D3 = -(_P**2) * _Q**2 + 4 * _Q**3 + 4 * _P**3 * _R - 18 * _P * _Q * _R + 27 * _R**2
+D3 = -(P**2) * Q**2 + 4 * Q**3 + 4 * P**3 * R - 18 * P * Q * R + 27 * R**2
 
 CANDIDATE_DIVISORS: dict[str, MultiPoly] = {
-    "p": _P,
-    "q": _Q,
-    "r": _R,
+    "p": P,
+    "q": Q,
+    "r": R,
     "d1": D1,
     "d2": D2,
     "d3": D3,
@@ -44,9 +40,9 @@ CANDIDATE_DIVISORS: dict[str, MultiPoly] = {
 
 # The true singular divisors (d1 excluded: apparent only).
 SINGULAR_DIVISORS: dict[str, MultiPoly] = {
-    "p": _P,
-    "q": _Q,
-    "r": _R,
+    "p": P,
+    "q": Q,
+    "r": R,
     "d2": D2,
     "d3": D3,
 }

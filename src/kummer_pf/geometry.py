@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .divisors import SINGULAR_DIVISORS, D2, D3
-from .polynomials import MultiPoly, TuplePoly
+from .polynomials import P, Q, R, TuplePoly
 
 Scalar = Fraction | int | complex
 
@@ -37,7 +36,7 @@ class LambdaPoint:
         return (self.l2 - 1) * self.l2 * (self.l1 - self.l3)
 
 
-def _lambda_numerators(point: LambdaPoint) -> tuple:
+def lambda_numerators(point: LambdaPoint) -> tuple:
     """(p_num, q_core, q_tail) of the lambda map over any commutative ring:
     p = p_num / d, q = q_core q_tail / d^2, r = q_core^2 / d^3."""
     l1, l2, l3 = point.l1, point.l2, point.l3
@@ -59,25 +58,11 @@ def lambda_to_pqr(point: LambdaPoint | tuple[Scalar, Scalar, Scalar]
     d = point.denominator()
     if d == 0:
         raise ZeroDivisionError("lambda point lies on the degenerate locus d = 0")
-    p_num, q_core, q_tail = _lambda_numerators(point)
+    p_num, q_core, q_tail = lambda_numerators(point)
     p = p_num / d
     q = q_core * q_tail / d**2
     r = q_core**2 / d**3
     return p, q, r
-
-
-def lambda_map_symbolic() -> dict[str, TuplePoly]:
-    """Numerators of p, q, r and the common denominator as polynomials in
-    (l1, l2, l3); used for exact factor-vanishing checks."""
-    point = LambdaPoint(*(TuplePoly.variable(3, i) for i in range(3)))
-    p_num, q_core, q_tail = _lambda_numerators(point)
-    return {
-        "denominator": point.denominator(),
-        "p_num": p_num,
-        "q_num": q_core * q_tail,
-        "r_num": q_core * q_core,
-        "q_core": q_core,
-    }
 
 
 def pqrb_to_t(p: Scalar, q: Scalar, r: Scalar, b: Scalar
@@ -116,12 +101,9 @@ def cubic_discriminant(a, b, c):
 
 def discriminant_identities() -> bool:
     """d2 = -disc(R2), d3 = -disc(R3), exactly."""
-    p = MultiPoly.variable("p")
-    q = MultiPoly.variable("q")
-    r = MultiPoly.variable("r")
-    if -cubic_discriminant(p - 1, q, r) != D2:
+    if -cubic_discriminant(P - 1, Q, R) != D2:
         raise AssertionError("d2 is not the negated discriminant of R2")
-    if -cubic_discriminant(p, q, r) != D3:
+    if -cubic_discriminant(P, Q, R) != D3:
         raise AssertionError("d3 is not the negated discriminant of R3")
     return True
 
@@ -162,45 +144,40 @@ class DivisorMembership:
         return [k for k, v in self.on.items() if v]
 
 
-def singular_divisor_membership(point: tuple[Scalar, Scalar, Scalar],
-                                floor: float = 1e-9,
-                                divisors: Mapping[str, MultiPoly] | None = None
+def singular_divisor_membership(point: tuple[Scalar, Scalar, Scalar]
                                 ) -> DivisorMembership:
     """Evaluate p, q, r, d2, d3 at the point.
 
     Exact zero testing for rational points; for complex points a relative
-    floor against the sum of term magnitudes decides vanishing.
+    floor of 1e-9 against the sum of term magnitudes decides vanishing.
     """
-    divisors = divisors or SINGULAR_DIVISORS
     exact = all(isinstance(x, (int, Fraction)) for x in point)
     on: dict[str, bool] = {}
     values: dict[str, complex] = {}
     if exact:
         pt = tuple(Fraction(x) for x in point)
-        for name, poly in divisors.items():
+        for name, poly in SINGULAR_DIVISORS.items():
             val = poly.evaluate_exact(pt)
             values[name] = complex(val)
             on[name] = val == 0
     else:
         pt = tuple(complex(x) for x in point)
-        for name, poly in divisors.items():
+        for name, poly in SINGULAR_DIVISORS.items():
             val = poly.evaluate(pt)
             scale = poly.magnitude_scale(pt)
             values[name] = val
-            on[name] = abs(val) <= floor * max(scale, 1e-300)
+            on[name] = abs(val) <= 1e-9 * max(scale, 1e-300)
     return DivisorMembership(on=on, values=values)
 
 
-def divisor_clearance(point: tuple[complex, complex, complex],
-                      divisors: Mapping[str, MultiPoly] | None = None) -> float:
+def divisor_clearance(point: tuple[complex, complex, complex]) -> float:
     """Smallest relative magnitude of the singular divisors at the point.
 
     The ratio |f(x)| / sum of term magnitudes measures how close f is to
     cancellation, i.e. how close x is to {f = 0} in a scale-free sense.
     """
-    divisors = divisors or SINGULAR_DIVISORS
     worst = float("inf")
-    for poly in divisors.values():
+    for poly in SINGULAR_DIVISORS.values():
         scale = poly.magnitude_scale(point)
         if scale == 0:
             return 0.0

@@ -14,10 +14,12 @@ substitution
 
     p = c1 c5 / (c2 c3),  q = c1^2 c4 c6 / (c2^2 c3^2),  r = c1^3 c4^2 c7 / (c2^3 c3^3)
 
-together with the four Euler homogeneities rewrites everything in the three
-Euler operators tp, tq, tr.  ``reduce_to_pqr`` carries a kernel vector all
-the way to a normal-form annihilator in (p, q, r); on the four standard
-kernel vectors it reproduces the canonical second-order system exactly.
+together with the four Euler homogeneities (row i of A against gamma_i)
+gives each theta_j an image in the Euler operators tp, tq, tr
+(``THETA_IMAGES``); the box operators are products of falling factorials
+of these images.  ``reduce_to_pqr`` carries a kernel vector all the way to
+a normal-form annihilator in (p, q, r); on the four standard kernel
+vectors it reproduces the canonical second-order system exactly.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .operators import TP, TQ, TR, ThetaOperator
-from .polynomials import MultiPoly, TuplePoly
-
-NVARS = 7
+from .polynomials import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,17 @@ PQR_EXPONENTS = (
     (3, -3, -3, 2, 0, 0, 1),
 )
 
-
-@dataclass(frozen=True)
-class KernelVector:
-    b: tuple[int, ...]
+# The images of theta_1 .. theta_7 in the three Euler operators (tp, tq, tr).
+_WEIGHT = TP + 2 * TQ + 3 * TR
+THETA_IMAGES = (
+    _WEIGHT,                                  # theta_1
+    -(_WEIGHT + Fraction(1, 2)),              # theta_2
+    -(_WEIGHT + Fraction(1, 2)),              # theta_3
+    TQ + 2 * TR,                              # theta_4
+    TP,                                       # theta_5
+    TQ,                                       # theta_6
+    TR,                                       # theta_7
+)
 
 
 def matvec(matrix: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -114,22 +121,22 @@ def _row_reduce_integer(m: list[list[int]]) -> tuple[list[list[int]], list[list[
     return h, u, r
 
 
-def kernel_basis(data: GkzData | Sequence[Sequence[int]]) -> list[KernelVector]:
+def kernel_basis(data: GkzData) -> list[tuple[int, ...]]:
     """Integer basis of ker(A) (here rank 3 in Z^7), by row-reducing the
     transpose with a tracked unimodular transform.  Rejects rank-deficient A."""
-    matrix = data.matrix if isinstance(data, GkzData) else tuple(tuple(r) for r in data)
+    matrix = data.matrix
     nrows = len(matrix)
     ncols = len(matrix[0])
     transpose = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
     _, u, rank = _row_reduce_integer(transpose)
     if rank != nrows:
         raise ValueError(f"matrix rank {rank} below row count {nrows}")
-    return [KernelVector(tuple(u[i])) for i in range(rank, ncols)]
+    return [tuple(u[i]) for i in range(rank, ncols)]
 
 
-def lattice_contains(basis: Sequence[KernelVector], vector: Sequence[int]) -> bool:
+def lattice_contains(basis: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
     """True iff the vector is an integer combination of the basis vectors."""
-    rows = [list(k.b) for k in basis]
+    rows = [list(k) for k in basis]
     h, _, rank = _row_reduce_integer(rows)
     v = list(vector)
     for i in range(rank):
@@ -151,129 +158,78 @@ class BoxOperator:
     theta_j (theta_j - 1) ... (theta_j - k + 1)) and leaves the Laurent
     monomial c^b in front of the right-hand falling factorials:
 
-        theta_plus u = c^b . theta_minus u.
+        theta_plus u = c^b . theta_minus u,
+
+    both sides written in (tp, tq, tr) through ``THETA_IMAGES``.
     """
 
-    vector: KernelVector
-    theta_plus: TuplePoly
-    theta_minus: TuplePoly
+    vector: tuple[int, ...]
+    theta_plus: MultiPoly
+    theta_minus: MultiPoly
 
 
-def _falling_factorial(var_idx: int, k: int) -> TuplePoly:
-    out = TuplePoly.constant(NVARS, 1)
-    theta = TuplePoly.variable(NVARS, var_idx)
+def _falling_factorial(theta: MultiPoly, k: int) -> MultiPoly:
+    out = MultiPoly.one()
     for i in range(k):
         out = out * (theta - i)
     return out
 
 
-def box_operator(vector: KernelVector | Sequence[int],
-                 data: GkzData | None = None) -> BoxOperator:
-    if not isinstance(vector, KernelVector):
-        vector = KernelVector(tuple(vector))
-    data = data or kummer_gkz_data()
-    if any(matvec(data.matrix, vector.b)):
-        raise ValueError(f"{vector.b} is not in the kernel of the matrix")
-    plus = TuplePoly.constant(NVARS, 1)
-    minus = TuplePoly.constant(NVARS, 1)
-    for j, bj in enumerate(vector.b):
+def box_operator(vector: Sequence[int]) -> BoxOperator:
+    vector = tuple(vector)
+    if any(matvec(kummer_gkz_data().matrix, vector)):
+        raise ValueError(f"{vector} is not in the kernel of the matrix")
+    plus = MultiPoly.one()
+    minus = MultiPoly.one()
+    for theta, bj in zip(THETA_IMAGES, vector):
         if bj > 0:
-            plus = plus * _falling_factorial(j, bj)
+            plus = plus * _falling_factorial(theta, bj)
         elif bj < 0:
-            minus = minus * _falling_factorial(j, -bj)
+            minus = minus * _falling_factorial(theta, -bj)
     return BoxOperator(vector=vector, theta_plus=plus, theta_minus=minus)
 
 
-@dataclass(frozen=True)
-class SubstitutionTable:
-    """theta_j images in the three-variable Euler operators, plus the
-    c-exponent vectors of p, q, r used to rewrite kernel monomials."""
-
-    pqr_in_c: tuple[tuple[int, ...], ...]
-    theta_images: tuple[MultiPoly, ...]  # length 7, each a MultiPoly in (tp, tq, tr)
-
-
-def standard_substitution() -> SubstitutionTable:
-    weight = TP + 2 * TQ + 3 * TR
-    images = (
-        weight,                                   # theta_1
-        -(weight + Fraction(1, 2)),               # theta_2
-        -(weight + Fraction(1, 2)),               # theta_3
-        TQ + 2 * TR,                              # theta_4
-        TP,                                       # theta_5
-        TQ,                                       # theta_6
-        TR,                                       # theta_7
-    )
-    return SubstitutionTable(pqr_in_c=PQR_EXPONENTS, theta_images=images)
-
-
-# The four Euler homogeneity relations (theta_j coefficients, constant),
-# which the substitution must annihilate identically.
-EULER_RELATIONS = (
-    ((1, 1, 0, 0, 0, 0, 0), Fraction(1, 2)),
-    ((0, 0, 1, 1, 1, 1, 1), Fraction(1, 2)),
-    ((1, 0, 1, 0, 0, 0, 0), Fraction(1, 2)),
-    ((0, 2, 0, 3, 2, 1, 0), Fraction(1)),
-)
-
-
-def verify_euler_elimination(table: SubstitutionTable | None = None) -> bool:
-    """Substitute the theta images into the four homogeneity relations and
-    confirm each collapses to zero identically.  Nonzero is a hard failure."""
-    table = table or standard_substitution()
-    for coeffs, const in EULER_RELATIONS:
-        acc = MultiPoly.constant(const)
-        for j, cj in enumerate(coeffs):
-            if cj:
-                acc = acc + cj * table.theta_images[j]
+def verify_euler_elimination() -> bool:
+    """Substitute the theta images into the four homogeneity relations
+    sum_j A[i][j] theta_j = gamma_i of the toric data and confirm each
+    collapses to zero identically.  Nonzero is a hard failure."""
+    data = kummer_gkz_data()
+    for row, gamma in zip(data.matrix, data.gamma):
+        acc = MultiPoly.constant(-gamma)
+        for a, theta in zip(row, THETA_IMAGES):
+            if a:
+                acc = acc + a * theta
         if not acc.is_zero:
-            raise AssertionError(f"relation {coeffs} reduces to {acc!r}, not 0")
+            raise AssertionError(f"relation {row} = {gamma} reduces to {acc!r}, not 0")
     return True
 
 
-def _substitute_sevens(tpoly: TuplePoly, table: SubstitutionTable) -> MultiPoly:
-    """Map a polynomial in the seven thetas to one in (tp, tq, tr)."""
-    result = MultiPoly.zero()
-    for exps, coeff in tpoly.terms.items():
-        term = MultiPoly.constant(coeff)
-        for image, e in zip(table.theta_images, exps):
-            term = term * image**e
-        result = result + term
-    return result
-
-
-def monomial_in_pqr(b: Sequence[int], table: SubstitutionTable | None = None) -> tuple[int, int, int]:
+def monomial_in_pqr(b: Sequence[int]) -> tuple[int, int, int]:
     """Solve c^b = p^alpha q^beta r^gamma; the last three coordinates of the
     exponent vectors are unit vectors, so (alpha, beta, gamma) = (b5, b6, b7),
     and the remaining coordinates certify membership."""
-    table = table or standard_substitution()
     alpha, beta, gamma = b[4], b[5], b[6]
     combo = [
         alpha * vp + beta * vq + gamma * vr
-        for vp, vq, vr in zip(*table.pqr_in_c)
+        for vp, vq, vr in zip(*PQR_EXPONENTS)
     ]
     if combo != list(b):
         raise ValueError(f"c-monomial {tuple(b)} is not expressible in (p, q, r)")
     return alpha, beta, gamma
 
 
-def reduce_to_pqr(vector: KernelVector | Sequence[int],
-                  table: SubstitutionTable | None = None) -> ThetaOperator:
+def reduce_to_pqr(vector: Sequence[int]) -> ThetaOperator:
     """Kernel vector -> normal-form annihilator in (p, q, r).
 
-    Route: clear the box equation to falling factorials, rewrite c^b as a
-    Laurent monomial in (p, q, r), substitute the theta images, and clear
+    Route: clear the box equation to falling factorials of the theta
+    images, rewrite c^b as a Laurent monomial in (p, q, r), and clear
     denominators with the minimal monomial.
     """
-    table = table or standard_substitution()
     box = box_operator(vector)
-    alpha, beta, gamma = monomial_in_pqr(box.vector.b, table)
-    lhs = _substitute_sevens(box.theta_plus, table)
-    rhs = _substitute_sevens(box.theta_minus, table)
+    alpha, beta, gamma = monomial_in_pqr(box.vector)
     clear = (max(0, -alpha), max(0, -beta), max(0, -gamma))
     rhs_mono = (alpha + clear[0], beta + clear[1], gamma + clear[2])
     return (
-        ThetaOperator.from_theta_poly(lhs, MultiPoly.monomial(clear))
-        - ThetaOperator.from_theta_poly(rhs, MultiPoly.monomial(rhs_mono))
+        ThetaOperator.from_theta_poly(box.theta_plus, MultiPoly.monomial(clear))
+        - ThetaOperator.from_theta_poly(box.theta_minus, MultiPoly.monomial(rhs_mono))
     )
-

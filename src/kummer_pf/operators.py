@@ -60,10 +60,6 @@ class ThetaOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> ThetaOperator:
-        return cls()
-
-    @classmethod
     def theta(cls, var: str) -> ThetaOperator:
         exps = [0, 0, 0]
         exps["pqr".index(var)] = 1

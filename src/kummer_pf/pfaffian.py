@@ -35,7 +35,7 @@ from .divisors import CANDIDATE_DIVISORS
 from .linalg import solve_poly_rows
 from .operators import CanonicalSystem, ThetaOperator, build_canonical_system
 from .polynomials import MultiPoly, RatFunc, poly_lcm
-from .series import TruncatedSeries, period_series
+from .series import period_series
 
 ThetaExps = tuple[int, int, int]
 
@@ -272,14 +272,12 @@ class SingularReport:
 
 
 def singular_factors(system: PfaffianSystem,
-                     candidates: dict[str, MultiPoly] | None = None,
                      require_complete: bool = True) -> SingularReport:
     """Trial-divide every entry denominator by the candidate divisors.
 
     With require_complete, a cofactor that is not constant after removing
     all candidate powers is a hard failure; otherwise it is recorded in the
     report (used for alternate bases, where a new factor is expected)."""
-    candidates = candidates or CANDIDATE_DIVISORS
     occurring: set[str] = set()
     leftovers: list[tuple[str, int, int, MultiPoly]] = []
     for var in "pqr":
@@ -289,7 +287,7 @@ def singular_factors(system: PfaffianSystem,
                 den = entry.den
                 if den.is_constant():
                     continue
-                for name, poly in candidates.items():
+                for name, poly in CANDIDATE_DIVISORS.items():
                     while poly.divides(den):
                         den = den.exact_div(poly)
                         occurring.add(name)
@@ -320,12 +318,12 @@ def divisor_occurrence(system: PfaffianSystem, poly: MultiPoly) -> bool:
 # -- series cross-check --------------------------------------------------------
 
 
-def series_consistency_defects(system: PfaffianSystem, cap: int,
-                               u: TruncatedSeries | None = None) -> list[tuple[str, ThetaExps]]:
+def series_consistency_defects(system: PfaffianSystem, cap: int
+                               ) -> list[tuple[str, ThetaExps]]:
     """Check theta_x(W u) = sum_j N_x[W][j] (basis_j u) on the truncated
     period series, as exact polynomial-coefficient identities (denominators
     cleared row by row).  Returns the failing (direction, W) pairs."""
-    u = u or period_series(cap)
+    u = period_series(cap)
     basis_images = {
         w: u.theta_scale(w) for w in system.basis
     }

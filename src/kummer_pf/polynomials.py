@@ -20,17 +20,15 @@ terms joined by `` + `` in ascending lexicographic order on
 ``MultiPoly`` is also the one exact kernel for every other 3-variable
 polynomial: truncated power series (a degree cap plus a ``MultiPoly``) and
 polynomials in the three commuting Euler operators.  ``TuplePoly`` is a
-small generic n-variable polynomial kept for the identities in 4, 5 and 7
-variables (the discriminant factorization, the homogeneity witness, the
-toric box operators) and for the symbolic lambda map; it is deliberately
-minimal.
+small generic n-variable polynomial kept only for the 4- and 5-variable
+witnesses (the discriminant factorization and the homogeneity witness).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 # The exact scalar used everywhere; arbitrary precision, gcd-reduced,
 # positive denominator -- fractions.Fraction guarantees all three.
@@ -1002,9 +1000,9 @@ _RF_ONE = RatFunc(_ONE, _ONE, _reduced=True)
 class TuplePoly:
     """Minimal n-variable polynomial over Q, dict keyed by exponent tuples.
 
-    Used for symbolic identities outside the (p, q, r) ring: the seven
-    toric thetas, lambda parameters, adjoined homogeneity scales.  Supports
-    just enough arithmetic for identity checking.
+    Used only for the two witnesses outside the (p, q, r) ring: the
+    x-discriminant factorization in (t, p, q, r) and the homogeneity witness
+    in (p, q, r, b, s).  Supports just enough arithmetic for them.
     """
 
     __slots__ = ("nvars", "terms")
@@ -1092,16 +1090,6 @@ class TuplePoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, point: Iterable[Fraction]) -> Fraction:
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for k, v in self.terms.items():
-            term = v
-            for e, x in zip(k, pt):
-                term *= x ** e
-            total += term
-        return total
 
     def __repr__(self):
         return f"TuplePoly({self.nvars}, {self.terms!r})"

@@ -155,8 +155,6 @@ class TruncatedSeries:
         value = sum(layers[d] for d in sorted(layers))
         top = max(tail_layer) if tail_layer else None
         tail = tail_layer[top] if top is not None and top > 0 else 0.0
-        if top == 0 and len(tail_layer) == 1:
-            tail = 0.0
         return value, tail
 
 

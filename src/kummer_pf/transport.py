@@ -361,12 +361,11 @@ class TransportResult:
     clearance: float
 
 
-def transport(system: PfaffianSystem | CompiledConnection, path: Path,
+def transport(conn: CompiledConnection, path: Path,
               y0: np.ndarray | None = None, tol: float = 1e-10,
               min_clearance: float = 1e-3) -> TransportResult:
     """Transport a state vector (or the identity, giving the fundamental
     matrix) along the path."""
-    conn = system if isinstance(system, CompiledConnection) else CompiledConnection(system)
     clearance = check_clearance(path, min_clearance)
     n = conn.size
     matrix_mode = y0 is None
@@ -387,13 +386,12 @@ def transport(system: PfaffianSystem | CompiledConnection, path: Path,
     )
 
 
-def trace_integral(system: PfaffianSystem | CompiledConnection, path: Path,
+def trace_integral(conn: CompiledConnection, path: Path,
                    order: int = 48, levels: int = 3) -> tuple[complex, bool]:
     """Contour integral of tr Omega by composite Gauss-Legendre quadrature,
     refined until stable (independent of the ODE stepper).  Each panel of
     ``order`` nodes is one batched evaluation.  Returns the last estimate
     and whether the last refinement met the stopping test."""
-    conn = system if isinstance(system, CompiledConnection) else CompiledConnection(system)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     previous = None
     pieces = 1
@@ -431,11 +429,10 @@ class MonodromyResult:
         return abs(self.determinant - expected) / max(abs(expected), 1e-300)
 
 
-def monodromy(system: PfaffianSystem | CompiledConnection, loop: Path,
+def monodromy(conn: CompiledConnection, loop: Path,
               tol: float = 1e-10, min_clearance: float = 1e-3) -> MonodromyResult:
     if not loop.is_closed(1e-9):
         raise ValueError("monodromy needs a closed loop")
-    conn = system if isinstance(system, CompiledConnection) else CompiledConnection(system)
     result = transport(conn, loop, y0=None, tol=tol, min_clearance=min_clearance)
     m = result.fundamental_matrix
     det = complex(np.linalg.det(m))
@@ -480,5 +477,6 @@ def series_vs_transport(system: PfaffianSystem, point_a: Point, point_b: Point,
     state_a = initial_state(system, point_a, cap=cap, u=u)
     state_b = initial_state(system, point_b, cap=cap, u=u)
     path = Path((LineSegment(point_a, point_b),))
-    moved = transport(system, path, y0=state_a, tol=tol, min_clearance=min_clearance)
+    moved = transport(CompiledConnection(system), path, y0=state_a, tol=tol,
+                      min_clearance=min_clearance)
     return float(np.max(np.abs(moved.final_state - state_b)))

@@ -48,7 +48,7 @@ class TestAnnihilate:
 
 class TestGkz:
     def test_derive(self, capsys):
-        code, data = run_cli(capsys, "gkz", "--derive")
+        code, data = run_cli(capsys, "gkz")
         assert code == 0
         assert data["matches_canonical"] is True
         assert data["lattice_contains_all"] is True
@@ -66,8 +66,7 @@ class TestPfaffian:
         code, data = run_cli(capsys, "pfaffian", "singular", str(out))
         assert code == 0
         assert set(data["occurring"]) >= {"p", "q", "d1", "d2", "d3"}
-        code, data = run_cli(capsys, "pfaffian", "compare", str(out),
-                             "fixtures/appendix.json")
+        code, data = run_cli(capsys, "pfaffian", "compare", str(out))
         assert code == 0
         assert data["mismatch_count"] == 0
 

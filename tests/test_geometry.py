@@ -11,13 +11,16 @@ from kummer_pf.geometry import (
     discriminant_factorization,
     discriminant_identities,
     divisor_clearance,
-    lambda_map_symbolic,
+    lambda_numerators,
     lambda_to_pqr,
     pqrb_to_t,
     singular_divisor_membership,
     weighted_homogeneity_witness,
 )
-from kummer_pf.polynomials import TuplePoly
+from kummer_pf.polynomials import P, Q, R, TuplePoly
+
+# The lambda map over Q[l1, l2, l3], written in the MultiPoly variables p, q, r.
+SYMBOLIC = LambdaPoint(P, Q, R)
 
 
 class TestLambdaMap:
@@ -30,19 +33,19 @@ class TestLambdaMap:
         assert q == 0 and r == 0
 
     def test_symbolic_factor_containment(self):
-        sym = lambda_map_symbolic()
-        l1 = TuplePoly.variable(3, 0)
-        l2 = TuplePoly.variable(3, 1)
         # (l1 - l2) divides both the q and r numerators: substituting
         # l2 -> l1 must kill them
-        for key in ("q_num", "r_num"):
-            poly = sym[key]
-            collapsed = _substitute(poly, [l1, l1, TuplePoly.variable(3, 2)])
-            assert collapsed.is_zero, key
+        _, q_core, q_tail = lambda_numerators(LambdaPoint(P, P, R))
+        assert (q_core * q_tail).is_zero
+        assert (q_core * q_core).is_zero
+        _, q_core, q_tail = lambda_numerators(SYMBOLIC)
+        assert not (q_core * q_tail).is_zero
 
     def test_r_numerator_is_square_of_core(self):
-        sym = lambda_map_symbolic()
-        assert sym["r_num"] == sym["q_core"] * sym["q_core"]
+        _, q_core, _ = lambda_numerators(SYMBOLIC)
+        pt = (Fraction(2), Fraction(3), Fraction(5))
+        _, _, r = lambda_to_pqr(pt)
+        assert r * LambdaPoint(*pt).denominator() ** 3 == (q_core * q_core).evaluate_exact(pt)
 
     def test_degenerate_locus_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -57,23 +60,12 @@ class TestLambdaMap:
                 Fraction(rng.randint(61, 90), rng.randint(1, 7)),
             )
             p, q, r = lambda_to_pqr(lam)
-            sym = lambda_map_symbolic()
-            pt = [lam.l1, lam.l2, lam.l3]
-            d = sym["denominator"].evaluate(pt)
-            assert p == sym["p_num"].evaluate(pt) / d
-            assert q == sym["q_num"].evaluate(pt) / d**2
-            assert r == sym["r_num"].evaluate(pt) / d**3
-
-
-def _substitute(poly: TuplePoly, images: list[TuplePoly]) -> TuplePoly:
-    out = TuplePoly(images[0].nvars)
-    for exps, coeff in poly.terms.items():
-        term = TuplePoly.constant(images[0].nvars, coeff)
-        for idx, e in enumerate(exps):
-            for _ in range(e):
-                term = term * images[idx]
-        out = out + term
-    return out
+            p_num, q_core, q_tail = lambda_numerators(SYMBOLIC)
+            pt = (lam.l1, lam.l2, lam.l3)
+            d = SYMBOLIC.denominator().evaluate_exact(pt)
+            assert p == p_num.evaluate_exact(pt) / d
+            assert q == (q_core * q_tail).evaluate_exact(pt) / d**2
+            assert r == (q_core * q_core).evaluate_exact(pt) / d**3
 
 
 class TestWeightedMap:

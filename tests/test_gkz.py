@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from kummer_pf import gkz
 from kummer_pf.gkz import (
     GENERATING_KERNEL_VECTORS,
+    THETA_IMAGES,
     GkzData,
     box_operator,
     kernel_basis,
@@ -14,11 +16,10 @@ from kummer_pf.gkz import (
     matvec,
     monomial_in_pqr,
     reduce_to_pqr,
-    standard_substitution,
     verify_euler_elimination,
 )
 from kummer_pf.operators import build_canonical_system
-from kummer_pf.polynomials import MultiPoly, TuplePoly
+from kummer_pf.polynomials import MultiPoly
 from kummer_pf.series import period_series
 
 
@@ -40,7 +41,7 @@ class TestKernelVectors:
         assert len(basis) == 3
         data = kummer_gkz_data()
         for k in basis:
-            assert matvec(data.matrix, k.b) == [0, 0, 0, 0]
+            assert matvec(data.matrix, k) == [0, 0, 0, 0]
         for b in GENERATING_KERNEL_VECTORS:
             assert lattice_contains(basis, b), b
 
@@ -61,24 +62,24 @@ class TestKernelVectors:
 class TestBoxOperator:
     def test_multiplicity_one_no_falling_factorial(self):
         box = box_operator((0, 0, 0, 1, -1, -1, 1))
-        t4 = TuplePoly.variable(7, 3)
-        t7 = TuplePoly.variable(7, 6)
-        t5 = TuplePoly.variable(7, 4)
-        t6 = TuplePoly.variable(7, 5)
+        t4 = THETA_IMAGES[3]
+        t7 = THETA_IMAGES[6]
+        t5 = THETA_IMAGES[4]
+        t6 = THETA_IMAGES[5]
         assert box.theta_plus == t4 * t7
         assert box.theta_minus == t5 * t6
 
     def test_squared_derivative_clears_to_falling_factorial(self):
         box = box_operator((0, 0, 0, 0, 1, -2, 1))
-        t6 = TuplePoly.variable(7, 5)
+        t6 = THETA_IMAGES[5]
         assert box.theta_minus == t6 * (t6 - 1)
 
     def test_second_vector_matches_displayed_form(self):
         # d4 d6 u = d5^2 u  clears to  theta4 theta6 u = c^b theta5(theta5-1) u
         box = box_operator((0, 0, 0, 1, -2, 1, 0))
-        t4 = TuplePoly.variable(7, 3)
-        t6 = TuplePoly.variable(7, 5)
-        t5 = TuplePoly.variable(7, 4)
+        t4 = THETA_IMAGES[3]
+        t6 = THETA_IMAGES[5]
+        t5 = THETA_IMAGES[4]
         assert box.theta_plus == t4 * t6
         assert box.theta_minus == t5 * (t5 - 1)
 
@@ -99,14 +100,21 @@ class TestSubstitution:
     def test_euler_elimination(self):
         assert verify_euler_elimination()
 
+    def test_euler_elimination_reads_the_toric_data(self, monkeypatch):
+        # the check must test the images against the stated gamma, not a copy
+        data = kummer_gkz_data()
+        changed = GkzData(matrix=data.matrix, gamma=data.gamma[:3] + (Fraction(-2),))
+        monkeypatch.setattr(gkz, "kummer_gkz_data", lambda: changed)
+        with pytest.raises(AssertionError):
+            verify_euler_elimination()
+
     def test_relation_one_cancels_directly(self):
-        table = standard_substitution()
-        acc = table.theta_images[0] + table.theta_images[1] + Fraction(1, 2)
+        acc = THETA_IMAGES[0] + THETA_IMAGES[1] + Fraction(1, 2)
         assert acc.is_zero
 
     def test_relation_four_expansion(self):
         # 2*theta2 + 3*theta4 + 2*theta5 + theta6 + 1 -> 0
-        t = standard_substitution().theta_images
+        t = THETA_IMAGES
         acc = 2 * t[1] + 3 * t[3] + 2 * t[4] + t[5] + MultiPoly.constant(1)
         assert acc.is_zero
 
@@ -133,4 +141,4 @@ class TestReduction:
         u = period_series(12)
         for k in kernel_basis(kummer_gkz_data()):
             op = reduce_to_pqr(k)
-            assert op.apply(u).is_zero_through(9), k.b
+            assert op.apply(u).is_zero_through(9), k

@@ -365,9 +365,10 @@ class TestSingularFactors:
         assert "d1" not in both
         assert {"d2", "d3"} <= both
 
-    def test_unexpected_factor_is_hard_failure(self, sys5):
-        with pytest.raises(AssertionError):
-            singular_factors(sys5, candidates={"p": P, "q": Q, "r": R})
+    def test_unexpected_factor_is_hard_failure(self, sys5_q2):
+        # the q2 basis leaves the non-candidate factor e1 in its denominators
+        with pytest.raises(AssertionError, match="unexpected denominator factor"):
+            singular_factors(sys5_q2)
 
 
 class TestSerialization:

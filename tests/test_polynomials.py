@@ -339,9 +339,3 @@ class TestTuplePoly:
         x = TuplePoly.variable(2, 0)
         y = TuplePoly.variable(2, 1)
         assert (x + y) * (x - y) == x * x - y * y
-
-    def test_evaluate(self):
-        x = TuplePoly.variable(2, 0)
-        y = TuplePoly.variable(2, 1)
-        f = x * x + 2 * y
-        assert f.evaluate([Fraction(3), Fraction(1, 2)]) == 10
